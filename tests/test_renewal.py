@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from semimarket.renewal import (
     Grid,
     GridFunction,
     _simpson_integral,
-    _volterra_forward,
     asymptotic_covariance,
     conv_stieltjes,
     covariance_gamma,
@@ -126,14 +128,88 @@ def test_conv_stieltjes_atom():
     np.testing.assert_allclose(out, 2.0 * g)
 
 
+def _volterra_forward(forcing, dk):
+    """Plain O(M^2) forward substitution; oracle for solve_volterra."""
+    forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
+    dk = np.asarray(dk, dtype=float)
+    q, m1 = forcing.shape
+    x = np.zeros((q, m1))
+    x[:, 0] = forcing[:, 0]
+    ainv = np.linalg.inv(np.eye(q) - 0.5 * dk[:, :, 1])
+    for m in range(1, m1):
+        rhs = forcing[:, m].copy()
+        for i in range(q):
+            for k in range(q):
+                rhs[i] += 0.5 * dk[i, k, 1] * x[k, m - 1]
+                if m >= 2:
+                    lags = np.arange(2, m + 1)
+                    rhs[i] += np.sum(0.5 * (x[k, m - lags] + x[k, m - lags + 1]) * dk[i, k, lags])
+        x[:, m] = ainv @ rhs
+    return x
+
+
+def _random_volterra(rng, q, m1):
+    f = rng.normal(size=(q, m1))
+    dk = np.zeros((q, q, m1))
+    dk[:, :, 1:] = np.abs(rng.normal(size=(q, q, m1 - 1))) * (0.5 / m1)
+    return f, dk
+
+
 def test_volterra_fast_equals_forward_oracle():
     rng = np.random.default_rng(1)
     for q, m1, block in ((1, 257, 32), (2, 300, 64), (3, 123, 16)):
-        f = rng.normal(size=(q, m1))
-        dk = np.zeros((q, q, m1))
-        dk[:, :, 1:] = np.abs(rng.normal(size=(q, q, m1 - 1))) * (0.5 / m1)
+        f, dk = _random_volterra(rng, q, m1)
         np.testing.assert_allclose(solve_volterra(f, dk, block=block),
                                    _volterra_forward(f, dk), atol=1e-10)
+
+
+@pytest.mark.parametrize("q, m1, block", [
+    (1, 2, 16), (2, 3, 16),            # one or two unknowns, a single short leaf
+    (1, 4 * 16 + 1, 16),               # m1 - 1 a whole number of leaves
+    (2, 5 * 16 + 2, 16),               # ... plus one point in a last leaf
+    (1, 8 * 16 + 1, 16), (2, 8 * 16 + 2, 16),   # around the direct/FFT switch
+    (1, 9 * 16 + 1, 16), (1, 40 * 16 + 2, 16),
+    (2, 60, 1),                        # leaves of one point
+])
+def test_volterra_edge_cases_match_oracle(q, m1, block):
+    f, dk = _random_volterra(np.random.default_rng(m1), q, m1)
+    np.testing.assert_allclose(solve_volterra(f, dk, block=block),
+                               _volterra_forward(f, dk), rtol=0, atol=1e-12)
+
+
+def test_volterra_with_an_all_zero_kernel_pair_matches_oracle():
+    f, dk = _random_volterra(np.random.default_rng(3), 3, 301)
+    dk[1, 2] = 0.0
+    np.testing.assert_allclose(solve_volterra(f, dk, block=16),
+                               _volterra_forward(f, dk), rtol=0, atol=1e-12)
+
+
+def test_volterra_pareto_renewal_equation_matches_oracle():
+    # R = 1 + F * R on 2001 points: 125 leaves of 16, so 7 levels of halving
+    g = Grid(dt=0.01, n_points=2001)
+    df = np.zeros(g.n_points)
+    df[1:] = np.diff(Pareto(scale=0.1, alpha=1.5).cdf(g.times()))
+    f = np.ones((1, g.n_points))
+    np.testing.assert_allclose(solve_volterra(f, df[None, None, :], block=16),
+                               _volterra_forward(f, df[None, None, :]), rtol=0, atol=1e-12)
+
+
+def test_volterra_frees_its_work_arrays_on_return():
+    # with the cycle collector off, memory the solver left in a reference
+    # cycle would stay allocated after the call
+    f, dk = _random_volterra(np.random.default_rng(4), 2, 20001)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = solve_volterra(f, dk)
+        del x
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 1e6
 
 
 def test_volterra_solution_satisfies_equation():
