@@ -1,7 +1,6 @@
 """Command-line experiment runner: one subcommand per experiment kind.
 
-    semimarket <kind> [--config spec.json] [--seed N] [--out DIR]
-                      [--threads N] [--budget-mb MB]
+    semimarket <kind> [--config spec.json] [--seed N] [--out DIR] [--threads N]
 
 Exit status is 0 only if every verdict of the run passes.  Run provenance is
 logged to stderr; artifacts (report.json, CSV tables) go to --out.
@@ -27,8 +26,6 @@ def _build_parser():
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory for report.json and CSV tables")
         p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
-        p.add_argument("--budget-mb", type=float, default=4096.0,
-                       help="memory budget for agent simulation")
     return parser
 
 
@@ -51,7 +48,6 @@ def main(argv=None):
     if args.out:
         spec.out_dir = args.out
     spec.threads = args.threads
-    spec.budget_mb = args.budget_mb
 
     print(f"semimarket {__version__} | kind={spec.kind} seed={spec.seed} "
           f"threads={spec.threads}", file=sys.stderr)

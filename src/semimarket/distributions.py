@@ -18,10 +18,7 @@ __all__ = [
     "ParetoLog",
     "Exponential",
     "Uniform",
-    "tail",
-    "mean",
     "law_from_config",
-    "check_tail_assumptions",
 ]
 
 
@@ -275,18 +272,6 @@ class Uniform(SojournLaw):
         return np.where(u < self.lo / m, below, above)
 
 
-# -- module-level operation surface ---------------------------------------
-
-def tail(law: SojournLaw, t):
-    """P{X >= t} for the given law."""
-    return law.tail(t)
-
-
-def mean(law: SojournLaw):
-    """Exact closed-form mean of the law."""
-    return law.mean
-
-
 _FAMILIES = {
     "pareto": lambda p: Pareto(scale=float(p["scale"]), alpha=float(p["alpha"])),
     "pareto_log": lambda p: ParetoLog(scale=float(p["scale"]), alpha=float(p["alpha"])),
@@ -301,31 +286,3 @@ def law_from_config(params: dict) -> SojournLaw:
     if kind not in _FAMILIES:
         raise ValueError(f"unknown sojourn family {kind!r}; known: {sorted(_FAMILIES)}")
     return _FAMILIES[kind](params)
-
-
-def check_tail_assumptions(model, horizons=(10.0, 1e2, 1e3, 1e4)):
-    """Diagnose the active-state tail condition against the inactive-state tail.
-
-    For each exit law of an active state, reports the decay ratios
-    tail(t) / (t^-(alpha+1) L(t)) on a horizon ladder.  The condition holds
-    when the ratios decrease monotonically toward zero.
-    """
-    alpha = model.alpha
-    horizons = np.asarray(horizons, dtype=float)
-    report = {"alpha": alpha, "horizons": list(horizons), "entries": [], "ok": True}
-    for (i, j), law in model.sojourns.laws.items():
-        if i == 0:
-            continue
-        reference = horizons ** (-(alpha + 1.0)) * model.tail_scale(horizons)
-        ratios = law.tail(horizons) / reference
-        decreasing = bool(np.all(np.diff(ratios) <= 0.0))
-        vanishing = bool(ratios[-1] <= 0.1 * max(ratios[0], 1e-300))
-        entry = {
-            "from_state": i,
-            "to_state": j,
-            "ratios": [float(r) for r in ratios],
-            "ok": decreasing and vanishing,
-        }
-        report["entries"].append(entry)
-        report["ok"] = report["ok"] and entry["ok"]
-    return report

@@ -104,7 +104,6 @@ class ExperimentSpec:
     replicates: int | None = None
     out_dir: str | None = None
     threads: int = 1
-    budget_mb: float = 4096.0
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -131,7 +130,6 @@ def load_experiment(path) -> ExperimentSpec:
         replicates=raw.get("replicates"),
         out_dir=raw.get("out"),
         threads=int(raw.get("threads", 1)),
-        budget_mb=float(raw.get("budget_mb", 4096.0)),
     )
 
 
@@ -145,19 +143,7 @@ def fit_slope(xs, ys):
         raise ValueError("need at least 3 distinct abscissae")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("log-log fit requires positive values")
-    lx, ly = np.log(xs), np.log(ys)
-    a = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    fitted = a @ coef
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    if xs.size > 2:
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = float(np.sqrt(ss_res / max(xs.size - 2, 1) / sxx))
-    else:
-        stderr = 0.0
-    return float(coef[0]), float(coef[1]), stderr, r2
+    return fbm_mod.fit_line(np.log(xs), np.log(ys))
 
 
 def _verdict(name, value, band=None, passed=None):
@@ -256,7 +242,7 @@ def run_fbm_selftest(params, seed):
 
 # -- market experiments --------------------------------------------------------
 
-def _market_config(model_dict, p, seed, budget_mb):
+def _market_config(model_dict, p, seed):
     model = model_from_dict(model_dict)
     return mkt.MarketConfig(
         model=model,
@@ -266,34 +252,25 @@ def _market_config(model_dict, p, seed, budget_mb):
         horizon=float(p["horizon"]),
         seed=seed,
         n_grid=int(p["n_grid"]),
-        budget_mb=budget_mb,
     )
 
 
 def _one_market_hurst(args):
-    model_dict, p, seed, replicate, scaling, budget_mb = args
-    cfg = _market_config(model_dict, p, seed, budget_mb)
+    """Hurst estimates of one replicate; replicate 0 also hands back its path."""
+    model_dict, p, seed, replicate, scaling = args
+    cfg = _market_config(model_dict, p, seed)
     if scaling == "markov":
         agg = mkt.markov_market(cfg, replicate=replicate)
     else:
         agg = mkt.simulate_market(cfg, replicate=replicate)
     vario, aggvar = market_hurst(agg.path(), min_lag=int(p["min_lag"]))
-    return vario.h_hat, aggvar.h_hat, agg
+    return vario.h_hat, aggvar.h_hat, agg if replicate == 0 else None
 
 
-def _one_market_hurst_light(args):
-    h_v, h_a, _ = _one_market_hurst(args)
-    return h_v, h_a
-
-
-def _median_hurst_cells(name, model_dict, p, seed, scaling, band, threads, budget_mb,
-                        artifacts=None):
-    args = [(model_dict, p, seed, rep, scaling, budget_mb) for rep in range(int(p["seeds"]))]
-    results = _pmap(_one_market_hurst_light, args, threads)
-    if artifacts is not None:
-        _, _, agg0 = _one_market_hurst((model_dict, p, seed, 0, scaling, budget_mb))
-        artifacts[f"{name}_x_scaled.csv"] = agg0.path("x_scaled")
-        artifacts[f"{name}_log_price.csv"] = agg0.path("log_price")
+def _median_hurst_cells(name, model_dict, p, seed, scaling, band, threads):
+    """Median-Hurst cell over the replicates, and replicate 0's aggregate path."""
+    args = [(model_dict, p, seed, rep, scaling) for rep in range(int(p["seeds"]))]
+    results = _pmap(_one_market_hurst, args, threads)
     h_v = [r[0] for r in results]
     h_a = [r[1] for r in results]
     med_v, med_a = float(np.median(h_v)), float(np.median(h_a))
@@ -303,40 +280,37 @@ def _median_hurst_cells(name, model_dict, p, seed, scaling, band, threads, budge
     ]
     metrics = {"hurst_variogram": h_v, "hurst_aggvar": h_a,
                "median_variogram": med_v, "median_aggvar": med_a}
-    return _cell(name, metrics, verdicts)
+    return _cell(name, metrics, verdicts), results[0][2]
 
 
-def run_example_a(params, seed, threads=1, budget_mb=4096.0, model=None):
+def _path_artifacts(name, agg):
+    return {f"{name}_x_scaled.csv": agg.path("x_scaled"),
+            f"{name}_log_price.csv": agg.path("log_price")}
+
+
+def run_example_a(params, seed, threads=1, model=None):
     p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
          "seeds": 10, "min_lag": 64, "band": (0.43, 0.57)}
     p.update(params)
     model_dict = model or EXAMPLE_A_MODEL
-    artifacts = {}
-    cell = _median_hurst_cells("example_a", model_dict, p, seed, "fractional",
-                               tuple(p["band"]), threads, budget_mb, artifacts)
-    return [cell], artifacts
+    cell, agg0 = _median_hurst_cells("example_a", model_dict, p, seed, "fractional",
+                                     tuple(p["band"]), threads)
+    return [cell], _path_artifacts("example_a", agg0)
 
 
-def run_markov_baseline(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_markov_baseline(params, seed, threads=1, model=None):
     p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
          "seeds": 10, "min_lag": 64, "band": (0.43, 0.57)}
     p.update(params)
     model_dict = model or MARKOV_MODEL
-    cell = _median_hurst_cells("markov_baseline", model_dict, p, seed, "markov",
-                               tuple(p["band"]), threads, budget_mb)
+    cell, agg0 = _median_hurst_cells("markov_baseline", model_dict, p, seed, "markov",
+                                     tuple(p["band"]), threads)
     # variance linear in t: by stationarity of increments the variogram of the
-    # scaled path is rate * lag; fit it linearly on one replicate's path
-    cfg = _market_config(model_dict, p, seed, budget_mb)
-    agg = mkt.markov_market(cfg, replicate=0)
-    x = agg.x_scaled
+    # scaled path is rate * lag; fit it linearly on replicate 0's path
+    x = agg0.x_scaled
     lags = (2 ** np.arange(6, 12)).astype(int)
     vario = [float(np.mean((x[lag:] - x[:-lag]) ** 2)) for lag in lags]
-    a = np.column_stack([lags.astype(float), np.ones(lags.size)])
-    coef, *_ = np.linalg.lstsq(a, np.asarray(vario), rcond=None)
-    fitted = a @ coef
-    ss_res = float(np.sum((vario - fitted) ** 2))
-    ss_tot = float(np.sum((vario - np.mean(vario)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = fbm_mod.fit_line(lags, vario)[3]
     lin_cell = _cell(
         "markov_variance_linearity",
         {"lags": lags.tolist(), "variogram": vario, "r2": r2},
@@ -345,16 +319,16 @@ def run_markov_baseline(params, seed, threads=1, budget_mb=4096.0, model=None):
     return [cell, lin_cell], {}
 
 
-def run_limit_verification(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_limit_verification(params, seed, threads=1, model=None):
     p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
          "seeds": 10, "min_lag": 64, "h_band": (0.67, 0.83),
          "renewal_dt": 0.025, "renewal_horizon": 1.05e4,
          "slope_window": (1e2, 1e4), "slope_band": (1.4, 1.6)}
     p.update(params)
     model_dict = model or LIMIT_MODEL
-    artifacts = {}
-    cell = _median_hurst_cells("limit_verification", model_dict, p, seed, "fractional",
-                               tuple(p["h_band"]), threads, budget_mb, artifacts)
+    cell, agg0 = _median_hurst_cells("limit_verification", model_dict, p, seed,
+                                     "fractional", tuple(p["h_band"]), threads)
+    artifacts = _path_artifacts("limit_verification", agg0)
     model_obj = model_from_dict(model_dict)
     grid = rnw.Grid.for_horizon(p["renewal_horizon"], p["renewal_dt"])
     gamma = rnw.covariance_gamma(model_obj, grid)
@@ -377,9 +351,9 @@ def run_limit_verification(params, seed, threads=1, budget_mb=4096.0, model=None
     # optional sweep cells: informational medians along an (epsilon, N) grid
     for eps in p.get("sweep_epsilon", ()):
         q = dict(p, epsilon=eps, seeds=max(3, int(p["seeds"]) // 3))
-        sweep_args = [(model_dict, q, seed, rep, "fractional", budget_mb)
+        sweep_args = [(model_dict, q, seed, rep, "fractional")
                       for rep in range(int(q["seeds"]))]
-        sweep = _pmap(_one_market_hurst_light, sweep_args, threads)
+        sweep = _pmap(_one_market_hurst, sweep_args, threads)
         cells.append(_cell(
             f"sweep_eps_{eps:g}",
             {"epsilon": eps,
@@ -411,7 +385,7 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
             "counts": counts.tolist(), "min_pvalue": float(pvals.min())}
 
 
-def run_renewal_tables(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_renewal_tables(params, seed, threads=1, model=None):
     p = {"dt": 0.005, "horizon": 12.0, "mc_replicates": 100000,
          "t_checks": (1.0, 5.0, 10.0), "stationarity_rep": 3000,
          "stationarity_seeds": 10}
@@ -458,7 +432,7 @@ def run_renewal_tables(params, seed, threads=1, budget_mb=4096.0, model=None):
 
 # -- mixed market ----------------------------------------------------------------
 
-def run_mixed_market(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_mixed_market(params, seed, threads=1, model=None):
     # eps = 1e-4 puts the inert block's refinement ladder inside the fractional
     # regime, so its quadratic variation visibly vanishes while the active
     # block's stays put
@@ -479,7 +453,7 @@ def run_mixed_market(params, seed, threads=1, budget_mb=4096.0, model=None):
     qv_combined_ladder = []
     qv_inert_ladder = []
     for rep in range(int(p["seeds"])):
-        cfg = _market_config(inert_dict, p, seed, budget_mb)
+        cfg = _market_config(inert_dict, p, seed)
         for rho in p["rhos"]:
             inert, active, combined = mkt.mixed_market(cfg, rho, markov_obj, replicate=rep)
             qv_active[rho].append(fbm_mod.quadratic_variation(
@@ -516,7 +490,7 @@ def run_mixed_market(params, seed, threads=1, budget_mb=4096.0, model=None):
 
 # -- integral identities -----------------------------------------------------------
 
-def run_integral_identities(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_integral_identities(params, seed, threads=1, model=None):
     p = {"n": 2**12, "hurst": 0.75, "seeds": 5, "levels": 4}
     p.update(params)
     n, hurst = int(p["n"]), float(p["hurst"])
@@ -562,7 +536,7 @@ def run_integral_identities(params, seed, threads=1, budget_mb=4096.0, model=Non
 
 # -- key renewal --------------------------------------------------------------------
 
-def run_key_renewal(params, seed, threads=1, budget_mb=4096.0, model=None):
+def run_key_renewal(params, seed, threads=1, model=None):
     from .distributions import Pareto
 
     p = {"alpha": 1.5, "scale": 1.0, "dt": 0.05, "horizon": 1.05e4,
@@ -639,12 +613,10 @@ def run(spec: ExperimentSpec) -> dict:
     params = dict(spec.params)
     if spec.replicates is not None:
         params.setdefault("seeds", spec.replicates)
-    kwargs = {}
-    if spec.kind != "fbm-selftest":
-        kwargs = {"threads": spec.threads, "budget_mb": spec.budget_mb, "model": spec.model}
-        cells, artifacts = runner(params, spec.seed, **kwargs)
-    else:
+    if spec.kind == "fbm-selftest":
         cells, artifacts = runner(params, spec.seed)
+    else:
+        cells, artifacts = runner(params, spec.seed, threads=spec.threads, model=spec.model)
     passed = all(v["passed"] for c in cells for v in c["verdicts"])
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -23,7 +23,7 @@ __all__ = [
     "sample_mixed",
     "hurst_aggregated_variance",
     "hurst_variogram",
-    "hurst_split",
+    "fit_line",
     "quadratic_variation",
 ]
 
@@ -107,23 +107,24 @@ def sample_mixed(hurst, delta, n, dt, rng) -> SamplePath:
     return SamplePath(dt=dt, values=bh.values + delta * w.values)
 
 
-def _ols_loglog(xs, ys):
-    lx, ly = np.log(xs), np.log(ys)
-    n = lx.size
-    a = np.column_stack([lx, np.ones(n)])
-    coef, res, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    slope, intercept = coef
-    fitted = a @ coef
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    if n > 2:
-        sigma2 = ss_res / (n - 2)
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = np.sqrt(sigma2 / sxx)
+def fit_line(x, y):
+    """Ordinary least squares y = slope * x + intercept: (slope, intercept, stderr, r2).
+
+    stderr is the standard error of the slope (0 for two points); r2 is 1 for
+    a constant y.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    a = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss_res = float(np.sum((y - a @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    if x.size > 2:
+        stderr = float(np.sqrt(ss_res / (x.size - 2) / np.sum((x - x.mean()) ** 2)))
     else:
         stderr = 0.0
-    return slope, intercept, stderr, r2
+    return float(coef[0]), float(coef[1]), stderr, r2
 
 
 def _dyadic_scales(start, stop):
@@ -158,7 +159,7 @@ def hurst_aggregated_variance(path: SamplePath, min_block=1, max_block=None) -> 
     moments = np.asarray(moments)
     if np.any(moments <= 0.0):
         raise ValueError("degenerate path: zero block variance")
-    slope, _, stderr, r2 = _ols_loglog(scales.astype(float), moments)
+    slope, _, stderr, r2 = fit_line(np.log(scales), np.log(moments))
     return HurstEstimate(h_hat=1.0 + slope / 2.0, stderr=stderr / 2.0,
                          method="aggregated_variance", r_squared=r2, n_scales=scales.size)
 
@@ -176,22 +177,9 @@ def hurst_variogram(path: SamplePath, min_lag=1, max_lag=None) -> HurstEstimate:
     vario = np.array([np.mean((x[lag:] - x[:-lag]) ** 2) for lag in lags])
     if np.any(vario <= 0.0):
         raise ValueError("degenerate path: zero variogram")
-    slope, _, stderr, r2 = _ols_loglog(lags.astype(float), vario)
+    slope, _, stderr, r2 = fit_line(np.log(lags), np.log(vario))
     return HurstEstimate(h_hat=slope / 2.0, stderr=stderr / 2.0,
                          method="variogram", r_squared=r2, n_scales=lags.size)
-
-
-def hurst_split(path: SamplePath, split=None):
-    """(fine-scale, coarse-scale) variogram estimates around the n/16 octave split.
-
-    Diagnostic for mixed paths: the Wiener component dominates small scales,
-    the fractional component large scales.
-    """
-    n = path.values.size
-    split = split or max(n // 16, 8)
-    fine = hurst_variogram(path, min_lag=1, max_lag=max(split // 64, 8))
-    coarse = hurst_variogram(path, min_lag=max(split // 16, 16), max_lag=n // 4)
-    return fine, coarse
 
 
 def quadratic_variation(path: SamplePath, block=1):

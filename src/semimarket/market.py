@@ -5,9 +5,10 @@ amplitude Psi scales order sizes.  The centered integrated imbalance
 
     X_t = ∫_0^t sum_a Psi_s (x^a_{s/eps} - mu) ds
 
-is accumulated exactly: agents are simulated in vectorized chunks, their jump
-events merged, and the piecewise-linear cumulative occupation integral is
-evaluated at the grid points.  Agents are never stored whole.
+is accumulated exactly: agents run through the vectorized engine of
+semi_markov in chunks, and their jump events are streamed into per-cell sums
+from which the piecewise-linear cumulative occupation integral follows at the
+grid points.  Neither agents nor their events are stored whole.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .distributions import Exponential
 from .paths import SamplePath
-from .semi_markov import SemiMarkovModel, StationaryLaw, stationary_law, \
+from .semi_markov import SemiMarkovModel, jump_rounds, stationary_law, \
     theorem_condition_value
 
 __all__ = [
@@ -80,7 +81,6 @@ class MarketConfig:
     n_grid: int = 2**13
     s0: float = 0.0
     chunk_size: int = 2000
-    budget_mb: float = 4096.0
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -118,153 +118,83 @@ class AggregatePath:
         return SamplePath(dt=self.dt, values=getattr(self, field))
 
 
-# -- vectorized agent chunk engine ------------------------------------------
+# -- streamed occupation of the agent engine's events --------------------------
 
-def _draw_grouped(rng, group_idx, n_groups, samplers):
-    """Draw one value per element, sampler chosen by group index."""
-    out = np.empty(group_idx.size)
-    for g in range(n_groups):
-        mask = group_idx == g
-        if mask.any():
-            out[mask] = samplers[g](rng, int(mask.sum()))
-    return out
+# events buffered between two binning passes; bounds the market's memory
+_FLUSH_EVENTS = 1 << 20
 
 
-def _transition_pairs(model):
-    """Feasible (i_idx, j_idx, law) transitions, merged by state when laws allow."""
-    states = list(model.space.states)
-    pairs = []
-    per_state = True
-    for ii, i in enumerate(states):
-        row_laws = {model.law(i, j) for jj, j in enumerate(states)
-                    if model.chain.p[ii, jj] > 0.0}
-        if len(row_laws) > 1:
-            per_state = False
-        for jj, j in enumerate(states):
-            if model.chain.p[ii, jj] > 0.0:
-                pairs.append((ii, jj, model.law(i, j)))
-    return pairs, per_state
+class _GridBinner:
+    """Streamed per-cell sums of (epoch tau, mood change delta) events on a grid.
 
-
-def _chunk_events(model, law: StationaryLaw, n_agents, horizon, rng,
-                  stationary=True, initial_state=None):
-    """Simulate one chunk of agents; return (x0_sum, event times, state deltas).
-
-    Events are the jump epochs in (0, horizon) with the signed change of the
-    aggregate mood at that epoch.  One vectorized jump per loop round; the
-    active set shrinks as agents pass the horizon.
+    An event with grid[g-1] < tau <= grid[g] adds delta to D_g and
+    delta * (grid[g] - tau) to F_g, its share of the cell's occupation
+    integral; only the grid and one buffer of events are held.  The grid is
+    uniform from 0 (np.linspace), which locates a cell in O(1).
     """
-    states = np.array(model.space.states)
-    n_states = states.size
-    p = model.chain.p
-    cum_rows = np.cumsum(p, axis=1)
-    pairs, per_state = _transition_pairs(model)
-    state_laws = {ii: lw for ii, jj, lw in pairs} if per_state else None
 
-    if stationary:
-        cur = np.searchsorted(np.cumsum(law.nu), rng.random(n_agents), side="right")
-    elif initial_state is not None:
-        cur = np.full(n_agents, model.space.index(initial_state), dtype=np.int64)
-    else:
-        cur = np.searchsorted(np.cumsum(law.pi), rng.random(n_agents), side="right")
-    cur = np.clip(cur, 0, n_states - 1)
-    x0_sum = float(states[cur].sum())
+    def __init__(self, grid):
+        self.grid = grid
+        self._per_step = (grid.size - 1) / grid[-1]
+        self.d = np.zeros(grid.size)
+        self.f = np.zeros(grid.size)
+        self._times, self._deltas, self._count = [], [], 0
 
-    nxt = np.empty(n_agents, dtype=np.int64)
-    t_next = np.empty(n_agents)
-    for k_idx in range(n_states):
-        mask = cur == k_idx
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        if stationary:
-            w = p[k_idx] * law.m_cond[k_idx]
-            w = w / w.sum()
-            nxt[mask] = np.searchsorted(np.cumsum(w), rng.random(count), side="right")
-        else:
-            nxt[mask] = np.searchsorted(cum_rows[k_idx], rng.random(count), side="right")
-        for j_idx in range(n_states):
-            sub = mask & (nxt == j_idx)
-            hits = int(sub.sum())
-            if hits:
-                lw = model.law(int(states[k_idx]), int(states[j_idx]))
-                draw = lw.equilibrium_sample if stationary else lw.sample
-                t_next[sub] = draw(rng, hits)
+    def add(self, times, deltas):
+        self._times.append(times)
+        self._deltas.append(deltas)
+        self._count += times.size
+        if self._count >= _FLUSH_EVENTS:
+            self._flush()
 
-    ev_times, ev_deltas = [], []
-    idx = np.flatnonzero(t_next < horizon)
-    t_now = t_next.copy()
-    while idx.size:
-        # jump: record the mood change at t_now
-        ev_times.append(t_now[idx].copy())
-        ev_deltas.append((states[nxt[idx]] - states[cur[idx]]).astype(float))
-        cur_a = nxt[idx]
-        cur[idx] = cur_a
-        u = rng.random(idx.size)
-        nxt_a = (u[:, None] > cum_rows[cur_a]).sum(axis=1)
-        nxt[idx] = nxt_a
-        dt_draw = np.empty(idx.size)
-        if per_state:
-            for ii in state_laws:
-                sub = np.flatnonzero(cur_a == ii)
-                if sub.size:
-                    dt_draw[sub] = state_laws[ii].sample(rng, sub.size)
-        else:
-            code_a = cur_a * n_states + nxt_a
-            for ii, jj, lw in pairs:
-                sub = np.flatnonzero(code_a == ii * n_states + jj)
-                if sub.size:
-                    dt_draw[sub] = lw.sample(rng, sub.size)
-        t_now[idx] = t_now[idx] + dt_draw
-        idx = idx[t_now[idx] < horizon]
-    if ev_times:
-        return x0_sum, np.concatenate(ev_times), np.concatenate(ev_deltas)
-    return x0_sum, np.empty(0), np.empty(0)
+    def _flush(self):
+        if not self._times:
+            return
+        t = np.concatenate(self._times)
+        d = np.concatenate(self._deltas).astype(float)
+        self._times, self._deltas, self._count = [], [], 0
+        cell = self._cells(t)
+        self.d += np.bincount(cell, d, minlength=self.grid.size)
+        self.f += np.bincount(cell, d * (self.grid[cell] - t), minlength=self.grid.size)
 
+    def _cells(self, t):
+        """np.searchsorted(self.grid, t) for 0 <= t <= grid[-1], in O(1) per event.
 
-def _chunk_occupation(x0_sum, ev_t, ev_d, horizon, query_times):
-    """Exact (∫_0^s Z du, Z(s)) at the query times for one chunk's event stream."""
-    order = np.argsort(ev_t, kind="stable")
-    tau = np.concatenate([[0.0], ev_t[order]])
-    z = x0_sum + np.concatenate([[0.0], np.cumsum(ev_d[order])])
-    tau_x = np.concatenate([tau, [horizon]])
-    v = np.concatenate([[0.0], np.cumsum(z * np.diff(tau_x))])
-    cum = np.interp(query_times, tau_x, v)
-    z_idx = np.clip(np.searchsorted(tau, query_times, side="right") - 1, 0, z.size - 1)
-    return cum, z[z_idx]
+        The uniform spacing gives the cell up to one step, since the grid values
+        differ from k * step by rounding only; one comparison each way settles it.
+        """
+        cell = np.minimum(np.ceil(t * self._per_step).astype(np.int64), self.grid.size - 1)
+        cell -= (cell > 0) & (self.grid[cell - 1] >= t)
+        cell += self.grid[cell] < t
+        return cell
 
-
-def _estimate_events(law: StationaryLaw, n_agents, horizon):
-    mean_between_jumps = float(law.pi @ law.m)
-    return n_agents * horizon / mean_between_jumps
+    def occupation(self, x0):
+        """(∫_0^s Z du, Z(s)) at the grid points for Z = x0 + sum of the deltas up to s."""
+        self._flush()
+        rate = x0 + np.cumsum(self.d)
+        cells = rate[:-1] * np.diff(self.grid) + self.f[1:]
+        return np.concatenate([[0.0], np.cumsum(cells)]), rate
 
 
 def _aggregate_occupation(model, law, cfg: MarketConfig, replicate, stream_base,
                           n_agents, stationary=True, initial_state=None):
-    """Sum of per-chunk cumulative occupation integrals and rates at grid points."""
+    """Summed mood's cumulative occupation integral and rate at the grid points.
+
+    Agents run through the engine in chunks of cfg.chunk_size, chunk c on the
+    stream (seed, replicate, stream_base + c); time is on the agents' clock t/eps.
+    """
     horizon_scaled = cfg.horizon / cfg.epsilon
-    est = _estimate_events(law, n_agents, horizon_scaled)
-    est_mb = est * 3 * 8 / 1e6
-    if est_mb > cfg.budget_mb:
-        raise MemoryError(
-            f"estimated {est:.2e} jump events (~{est_mb:.0f} MB) exceed the "
-            f"{cfg.budget_mb} MB budget; lower N, horizon or 1/epsilon")
-    grid_scaled = np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon
-    cum = np.zeros(cfg.n_grid)
-    rate = np.zeros(cfg.n_grid)
-    start = 0
-    chunk_index = 0
-    while start < n_agents:
-        stop = min(start + cfg.chunk_size, n_agents)
+    binner = _GridBinner(np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon)
+    labels = np.array(model.space.states)
+    x0 = 0.0
+    for chunk_index, start in enumerate(range(0, n_agents, cfg.chunk_size)):
         rng = np.random.default_rng([cfg.seed, replicate, stream_base + chunk_index])
-        x0_sum, ev_t, ev_d = _chunk_events(model, law, stop - start, horizon_scaled, rng,
-                                           stationary=stationary, initial_state=initial_state)
-        c, z = _chunk_occupation(x0_sum, ev_t, ev_d, horizon_scaled, grid_scaled)
-        cum += c
-        rate += z
-        start = stop
-        chunk_index += 1
-    return cum, rate
+        rounds = jump_rounds(model, min(cfg.chunk_size, n_agents - start), horizon_scaled,
+                             rng, law=law, stationary=stationary, initial_state=initial_state)
+        x0 += float(labels[next(rounds)].sum())
+        for _, t, src, dst in rounds:
+            binner.add(t, labels[dst] - labels[src])
+    return binner.occupation(x0)
 
 
 def _assemble(cfg, psi, cum, rate, mu, scaling):
@@ -291,7 +221,8 @@ def simulate_market(cfg: MarketConfig, replicate=0, stationary=True,
 
     x_scaled = x_raw / (eps^(1-H) sqrt(N L(1/eps))) with H = (3-alpha)/2.
     Degenerate light-tailed models (diagnostics only) fall back to the
-    sqrt(eps N) normalisation.
+    sqrt(eps N) normalisation.  `initial_state` conditions every agent's
+    xi_0; with stationary=False it is required and the first sojourn is fresh.
     """
     law = stationary_law(cfg.model)
     mu = law.mu if center_mu is None else center_mu

@@ -29,11 +29,9 @@ __all__ = [
     "GridFunction",
     "KernelGrid",
     "kernel_on_grid",
-    "survival_h",
     "first_passage",
     "renewal_function",
     "delayed_renewal",
-    "stationary_renewal",
     "stationary_first_passage",
     "stationary_transition",
     "tail_constant_Cj",
@@ -125,12 +123,6 @@ def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
     if np.any(total > 1.0 + 1e-9):
         raise ValueError("kernel mass exceeds 1; inconsistent transition laws")
     return KernelGrid(grid=grid, states=states, q=q, survival=h)
-
-
-def survival_h(kernel: KernelGrid):
-    """Per-state sojourn survival h(i, .) = 1 - sum_j Q(i,j,.) as grid functions."""
-    return {s: GridFunction(kernel.grid, kernel.survival[k], kind="plain")
-            for k, s in enumerate(kernel.states)}
 
 
 # -- Stieltjes convolution and Volterra solver ------------------------------
@@ -318,11 +310,6 @@ def delayed_renewal(r_jj: GridFunction, f_ij: GridFunction) -> GridFunction:
     return GridFunction(r_jj.grid, vals, kind="plain")
 
 
-def stationary_renewal(r_jj: GridFunction, fstar_ij: GridFunction) -> GridFunction:
-    """R*(i,j,t) = ∫_0^t R(j,j,t-u) F*(i,j,du)."""
-    return delayed_renewal(r_jj, fstar_ij)
-
-
 def _stationary_pieces(model, law: StationaryLaw, grid: Grid):
     """Exact s(i,t) = P*{xi_0 = i, T_1 > t} and shat(i,k,t) = P*{xi_1=k, T_1<=t | xi_0=i}."""
     states = model.space.states
@@ -391,7 +378,7 @@ def stationary_transition(model: SemiMarkovModel, grid: Grid,
         for ii, i in enumerate(states):
             fstar = stationary_first_passage(model, grid, i, j, passage=passage,
                                              law=law, pieces=pieces)
-            rstar = stationary_renewal(r_jj, fstar)
+            rstar = delayed_renewal(r_jj, fstar)  # R*(i,j,.) = R(j,j,.) * F*(i,j,.)
             drs = np.zeros(grid.n_points)
             drs[1:] = np.diff(rstar.values)
             vals = conv_stieltjes(drs, kernel.survival[jj], atom0=float(rstar.values[0]))

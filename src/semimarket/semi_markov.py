@@ -29,6 +29,7 @@ __all__ = [
     "sample_path",
     "sample_stationary_path",
     "integrate_trajectory",
+    "jump_rounds",
     "states_at_times",
 ]
 
@@ -102,12 +103,6 @@ class SojournFamily:
 
     laws: dict
 
-    @classmethod
-    def from_state_laws(cls, states, by_state):
-        """Common case: the sojourn law depends on the current state only."""
-        laws = {(i, j): by_state[i] for i in states for j in states}
-        return cls(laws=laws)
-
     def law(self, i, j):
         return self.laws[(i, j)]
 
@@ -131,16 +126,6 @@ class SemiMarkovModel:
             object.__setattr__(self, "alpha", heavy[0])
         if self.alpha is not None and not (1.0 < self.alpha < 2.0):
             raise ValueError(f"tail index must satisfy 1 < alpha < 2, got {self.alpha}")
-
-    @classmethod
-    def from_state_laws(cls, states, p, by_state, slowly_varying="constant"):
-        space = StateSpace(tuple(states))
-        return cls(
-            space=space,
-            chain=TransitionMatrix(np.asarray(p, dtype=float)),
-            sojourns=SojournFamily.from_state_laws(space.states, by_state),
-            slowly_varying=slowly_varying,
-        )
 
     def law(self, i, j) -> SojournLaw:
         return self.sojourns.law(i, j)
@@ -205,11 +190,6 @@ class Trajectory:
             raise ValueError("one state per inter-jump segment required")
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", st)
-
-    def state_at(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.jump_times, t, side="right") - 1
-        return self.states[np.clip(idx, 0, self.states.size - 1)]
 
     def occupation_times(self, labels):
         """Total time spent in each label over [0, horizon]."""
@@ -356,75 +336,135 @@ def limit_constant_c2(model: SemiMarkovModel):
     return c2
 
 
-# -- samplers ---------------------------------------------------------------
+# -- the agent engine ---------------------------------------------------------
 
-def _draw_next_state(row_cum, u):
-    return int(np.searchsorted(row_cum, u, side="right"))
+def _cumulative(weights):
+    """Row-wise cumulative probabilities with the last entry pinned to 1.
+
+    With `_pick`, every u in [0, 1) then lands on a state of positive weight
+    even when the row sums to 1 only up to rounding.
+    """
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def _pick(cum, u):
+    """Index k with cum[k-1] <= u < cum[k]; `cum` is one row or one row per draw."""
+    return (u[:, None] >= cum).sum(axis=1)
+
+
+def _transition_pairs(model):
+    """Feasible (i_idx, j_idx, law) transitions, and whether each row has a single law."""
+    states = model.space.states
+    pairs = []
+    per_state = True
+    for ii, i in enumerate(states):
+        row = [(ii, jj, model.law(i, j)) for jj, j in enumerate(states)
+               if model.chain.p[ii, jj] > 0.0]
+        per_state = per_state and len({lw for _, _, lw in row}) <= 1
+        pairs += row
+    return pairs, per_state
+
+
+def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
+                law: StationaryLaw | None = None, stationary=True, initial_state=None):
+    """The agent engine: n_agents independent copies of the process on [0, horizon).
+
+    The first item yielded is the array of initial state indices xi_0.  Each
+    later item is one jump round (agents, times, src, dst): the agents that
+    jump next, their jump epochs in (0, horizon), and the state indices they
+    leave and enter.  An agent jumps at most once per round and its epochs
+    increase from round to round; epochs of different agents are not sorted.
+
+    stationary=True starts from the equilibrium law: xi_0 ~ nu (or
+    xi_0 = initial_state when given), xi_1 = j with weight p_kj m_kj / m_k and
+    a residual first sojourn from the integrated-tail law of G(k, j, .), which
+    reproduces the joint density prop. to pi_k p_kj (1 - G(k, j, t)).
+    stationary=False starts at initial_state with a fresh kernel sojourn.
+    """
+    states = model.space.states
+    n_states = len(states)
+    p = model.chain.p
+    kernel_cum = _cumulative(p)
+    if stationary:
+        law = law or stationary_law(model)
+        weights = p * law.m_cond
+        start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
+    elif initial_state is None:
+        raise ValueError("a non-stationary start needs an initial_state")
+    else:
+        start_cum = kernel_cum
+    if initial_state is None:
+        cur = _pick(_cumulative(law.nu), rng.random(n_agents))
+    else:
+        cur = np.full(n_agents, model.space.index(initial_state), dtype=np.int64)
+    yield cur.copy()
+
+    nxt = np.empty(n_agents, dtype=np.int64)
+    t_now = np.empty(n_agents)
+    for k_idx in range(n_states):
+        mask = cur == k_idx
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        nxt[mask] = _pick(start_cum[k_idx], rng.random(count))
+        for j_idx in range(n_states):
+            sub = mask & (nxt == j_idx)
+            hits = int(sub.sum())
+            if hits:
+                lw = model.law(states[k_idx], states[j_idx])
+                draw = lw.equilibrium_sample if stationary else lw.sample
+                t_now[sub] = draw(rng, hits)
+
+    pairs, per_state = _transition_pairs(model)
+    state_laws = {ii: lw for ii, _, lw in pairs}
+    idx = np.flatnonzero(t_now < horizon)
+    while idx.size:
+        src, dst = cur[idx], nxt[idx]
+        yield idx, t_now[idx], src, dst
+        cur[idx] = dst
+        nxt_a = _pick(kernel_cum[dst], rng.random(idx.size))
+        nxt[idx] = nxt_a
+        sojourn = np.empty(idx.size)
+        if per_state:
+            for ii, lw in state_laws.items():
+                sub = np.flatnonzero(dst == ii)
+                if sub.size:
+                    sojourn[sub] = lw.sample(rng, sub.size)
+        else:
+            code = dst * n_states + nxt_a
+            for ii, jj, lw in pairs:
+                sub = np.flatnonzero(code == ii * n_states + jj)
+                if sub.size:
+                    sojourn[sub] = lw.sample(rng, sub.size)
+        t_now[idx] += sojourn
+        idx = idx[t_now[idx] < horizon]
+
+
+def _trajectory(model, horizon, rng, law=None, stationary=True, initial_state=None):
+    """One agent's path from the engine: every jump round adds one segment."""
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    rounds = jump_rounds(model, 1, horizon, rng, law=law, stationary=stationary,
+                         initial_state=initial_state)
+    times, visited = [0.0], [int(next(rounds)[0])]
+    for _, t, _, dst in rounds:
+        times.append(float(t[0]))
+        visited.append(int(dst[0]))
+    labels = np.array(model.space.states)
+    return Trajectory(np.asarray(times), labels[visited], horizon)
 
 
 def sample_path(model: SemiMarkovModel, initial_state, horizon, rng) -> Trajectory:
     """Simulate from a fixed initial state at time 0 until the horizon is covered."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    states = model.space.states
-    cum = np.cumsum(model.chain.p, axis=1)
-    jump_times = [0.0]
-    visited = [initial_state]
-    t = 0.0
-    cur = initial_state
-    while t < horizon:
-        nxt = states[_draw_next_state(cum[model.space.index(cur)], rng.random())]
-        t += float(model.law(cur, nxt).sample(rng))
-        if t >= horizon:
-            break
-        jump_times.append(t)
-        visited.append(nxt)
-        cur = nxt
-    return Trajectory(np.asarray(jump_times), np.asarray(visited), horizon)
-
-
-def _draw_stationary_start(model, law, rng):
-    """Draw (xi_0, xi_1, T_1) from the equilibrium initial law.
-
-    xi_0 ~ nu; given xi_0 = k, the next state has weight p_kj m_kj / m_k and the
-    residual first sojourn follows the integrated-tail law of G(k, j, .).
-    This reproduces the joint equilibrium density prop. to pi_k p_kj (1 - G(k,j,t)).
-    """
-    states = law.states
-    k_idx = _draw_next_state(np.cumsum(law.nu), rng.random())
-    k = states[k_idx]
-    weights = model.chain.p[k_idx] * law.m_cond[k_idx]
-    weights = weights / weights.sum()
-    j_idx = _draw_next_state(np.cumsum(weights), rng.random())
-    j = states[j_idx]
-    t1 = float(model.law(k, j).equilibrium_sample(rng))
-    return k, j, t1
+    return _trajectory(model, horizon, rng, stationary=False, initial_state=initial_state)
 
 
 def sample_stationary_path(model: SemiMarkovModel, horizon, rng,
                            law: StationaryLaw | None = None) -> Trajectory:
     """Simulate under the stationary law: equilibrium initial triple, then the kernel."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    law = law or stationary_law(model)
-    k, j, t1 = _draw_stationary_start(model, law, rng)
-    if t1 >= horizon:
-        return Trajectory(np.asarray([0.0]), np.asarray([k]), horizon)
-    states = model.space.states
-    cum = np.cumsum(model.chain.p, axis=1)
-    jump_times = [0.0, t1]
-    visited = [k, j]
-    t = t1
-    cur = j
-    while t < horizon:
-        nxt = states[_draw_next_state(cum[model.space.index(cur)], rng.random())]
-        t += float(model.law(cur, nxt).sample(rng))
-        if t >= horizon:
-            break
-        jump_times.append(t)
-        visited.append(nxt)
-        cur = nxt
-    return Trajectory(np.asarray(jump_times), np.asarray(visited), horizon)
+    return _trajectory(model, horizon, rng, law=law)
 
 
 def states_at_times(model: SemiMarkovModel, times, n_replicates, rng,
@@ -435,75 +475,18 @@ def states_at_times(model: SemiMarkovModel, times, n_replicates, rng,
     Returns an (n_replicates, len(times)) integer array of state labels.
     """
     times = np.asarray(times, dtype=float)
-    horizon = float(times.max())
-    law = law or stationary_law(model)
-    states = np.array(model.space.states)
-    n_states = states.size
-    p = model.chain.p
-    cum_rows = np.cumsum(p, axis=1)
-
-    cur = np.empty(n_replicates, dtype=np.int64)     # state indices
-    if initial_state is None:
-        cur_labels = np.searchsorted(np.cumsum(law.nu), rng.random(n_replicates), side="right")
-        cur[:] = cur_labels
-    else:
-        cur[:] = model.space.index(initial_state)
-
-    # first transition from the equilibrium joint law
-    nxt = np.empty_like(cur)
-    t_next = np.empty(n_replicates)
-    for k_idx in range(n_states):
-        mask = cur == k_idx
-        if not mask.any():
-            continue
-        w = p[k_idx] * law.m_cond[k_idx]
-        w = w / w.sum()
-        nxt[mask] = np.searchsorted(np.cumsum(w), rng.random(mask.sum()), side="right")
-        for j_idx in range(n_states):
-            sub = mask & (nxt == j_idx)
-            if sub.any():
-                lab_i, lab_j = states[k_idx], states[j_idx]
-                t_next[sub] = model.law(lab_i, lab_j).equilibrium_sample(rng, int(sub.sum()))
-
-    out = np.empty((n_replicates, times.size), dtype=np.int64)
-    recorded = np.zeros(n_replicates, dtype=np.int64)  # how many times already recorded
     order = np.argsort(times)
     sorted_times = times[order]
-
-    # event loop: advance all replicates jump by jump, recording marginals in between
-    t_now = np.zeros(n_replicates)
-    active = np.ones(n_replicates, dtype=bool)
-    while active.any():
-        # record all sampling times passed before the next jump
-        for ti, t_q in enumerate(sorted_times):
-            need = active & (recorded <= ti) & (t_next > t_q) & (t_now <= t_q)
-            out[need, order[ti]] = states[cur[need]]
-            recorded[need] = np.maximum(recorded[need], ti + 1)
-        done = active & (t_next > horizon)
-        active &= ~done
-        if not active.any():
-            break
-        # jump
-        t_now[active] = t_next[active]
-        cur[active] = nxt[active]
-        u = rng.random(int(active.sum()))
-        new_next = np.empty(int(active.sum()), dtype=np.int64)
-        idx_active = np.flatnonzero(active)
-        for k_idx in range(n_states):
-            mask = cur[idx_active] == k_idx
-            if not mask.any():
-                continue
-            new_next[mask] = np.searchsorted(cum_rows[k_idx], u[mask], side="right")
-        nxt[idx_active] = new_next
-        dt_draw = np.empty(idx_active.size)
-        for k_idx in range(n_states):
-            for j_idx in range(n_states):
-                sub = (cur[idx_active] == k_idx) & (nxt[idx_active] == j_idx)
-                if sub.any():
-                    lab_i, lab_j = states[k_idx], states[j_idx]
-                    dt_draw[sub] = model.law(lab_i, lab_j).sample(rng, int(sub.sum()))
-        t_next[idx_active] = t_now[idx_active] + dt_draw
-    return out
+    labels = np.array(model.space.states)
+    rounds = jump_rounds(model, n_replicates, float(times.max()), rng, law=law,
+                         initial_state=initial_state)
+    out = np.repeat(labels[next(rounds)][:, None], times.size, axis=1)
+    columns = np.arange(times.size)
+    for agents, t, _, dst in rounds:
+        # the jump sets the state at every sampling time from its epoch on
+        later = columns >= np.searchsorted(sorted_times, t)[:, None]
+        out[agents] = np.where(later, labels[dst][:, None], out[agents])
+    return out[:, np.argsort(order)]
 
 
 def integrate_trajectory(traj: Trajectory, grid_times=None, weight: SamplePath | None = None):

@@ -10,12 +10,8 @@ from semimarket.distributions import (
     Pareto,
     ParetoLog,
     Uniform,
-    check_tail_assumptions,
     law_from_config,
-    mean,
-    tail,
 )
-from semimarket.config import model_from_dict
 
 ALL_LAWS = [
     Pareto(scale=1.0, alpha=1.5),
@@ -30,9 +26,9 @@ ALL_LAWS = [
 
 def test_pareto_tail_values():
     law = Pareto(scale=1.0, alpha=1.5)
-    assert tail(law, 1.0) == 1.0
-    assert tail(law, 0.5) == 1.0  # below the scale
-    assert tail(law, 4.0) == pytest.approx(0.125)  # 4^-1.5
+    assert law.tail(1.0) == 1.0
+    assert law.tail(0.5) == 1.0  # below the scale
+    assert law.tail(4.0) == pytest.approx(0.125)  # 4^-1.5
 
 
 def test_exponential_tail():
@@ -42,9 +38,9 @@ def test_exponential_tail():
 
 
 def test_means_closed_form():
-    assert mean(Pareto(1.0, 1.5)) == pytest.approx(3.0)  # alpha/(alpha-1)
-    assert mean(Exponential(2.0)) == pytest.approx(0.5)
-    assert mean(Uniform(0.0, 2.0)) == pytest.approx(1.0)
+    assert Pareto(1.0, 1.5).mean == pytest.approx(3.0)  # alpha/(alpha-1)
+    assert Exponential(2.0).mean == pytest.approx(0.5)
+    assert Uniform(0.0, 2.0).mean == pytest.approx(1.0)
 
 
 def _tail_integral_oracle(law, t, split=100.0):
@@ -164,48 +160,3 @@ def test_law_from_config_and_errors():
         Pareto(scale=1.0, alpha=1.0)
     with pytest.raises(ValueError, match="lo < hi"):
         Uniform(lo=2.0, hi=1.0)
-
-
-def _three_state(active_law_cfg):
-    return model_from_dict({
-        "states": [-1, 0, 1],
-        "transitions": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
-        "sojourns": {
-            "-1": active_law_cfg,
-            "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5},
-            "1": active_law_cfg,
-        },
-    })
-
-
-def test_check_tail_assumptions_exponential_ok():
-    model = _three_state({"family": "exponential", "rate": 1.0})
-    report = check_tail_assumptions(model)
-    assert report["ok"]
-    for entry in report["entries"]:
-        assert entry["ratios"][-1] < 1e-12
-
-
-def test_check_tail_assumptions_flags_heavy_active():
-    # Pareto(1, 1.2) on an active exit decays slower than t^-(alpha+1)
-    model = _three_state({"family": "pareto", "scale": 1.0, "alpha": 1.2})
-    report = check_tail_assumptions(model)
-    assert not report["ok"]
-    flagged = [e for e in report["entries"] if not e["ok"]]
-    assert flagged and flagged[0]["ratios"][-1] > flagged[0]["ratios"][0]
-
-
-def test_check_tail_assumptions_verdict_ignores_slowly_varying_choice():
-    cfg = {
-        "states": [-1, 0, 1],
-        "transitions": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
-        "sojourns": {
-            "-1": {"family": "exponential", "rate": 1.0},
-            "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5},
-            "1": {"family": "exponential", "rate": 1.0},
-        },
-    }
-    const = check_tail_assumptions(model_from_dict(cfg))
-    log_cfg = dict(cfg, slowly_varying="log")
-    logv = check_tail_assumptions(model_from_dict(log_cfg))
-    assert const["ok"] == logv["ok"] is True

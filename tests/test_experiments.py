@@ -253,3 +253,31 @@ def test_limit_verification_sweep_cells():
     sweep = [c for c in cells if c["name"].startswith("sweep_")]
     assert all(0.0 < c["metrics"]["median_variogram"] < 1.0 for c in sweep)
     assert all(c["verdicts"] == [] for c in sweep)
+
+
+def test_market_kinds_simulate_each_replicate_once(tmp_path, monkeypatch):
+    # replicate 0's path comes from the Hurst pass: no second simulation for the
+    # CSV artifacts or the variance-linearity fit
+    from semimarket import market
+    from semimarket.experiments import _market_config
+
+    calls = []
+    for name in ("simulate_market", "markov_market"):
+        def counted(cfg, replicate=0, _fn=getattr(market, name), _name=name, **kw):
+            calls.append((_name, replicate))
+            return _fn(cfg, replicate=replicate, **kw)
+        monkeypatch.setattr(market, name, counted)
+    # 2^12 + 1 points cover the linearity fit's longest lag, 2^11
+    params = {"n_agents": 40, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**12 + 1,
+              "seeds": 2, "min_lag": 4, "band": (0.0, 1.0)}
+    for kind, fn in (("example-a", "simulate_market"), ("markov-baseline", "markov_market")):
+        calls.clear()
+        run(ExperimentSpec(kind=kind, params=dict(params), out_dir=str(tmp_path / kind)))
+        assert sorted(calls) == [(fn, 0), (fn, 1)]
+    monkeypatch.undo()
+    # the artifacts are byte for byte what a fresh simulation of replicate 0 writes
+    agg = market.simulate_market(_market_config(EXAMPLE_A_MODEL, params, 7041))
+    for field in ("x_scaled", "log_price"):
+        agg.path(field).to_csv(tmp_path / "fresh.csv")
+        written = tmp_path / "example-a" / f"example_a_{field}.csv"
+        assert written.read_bytes() == (tmp_path / "fresh.csv").read_bytes()

@@ -7,7 +7,6 @@ from semimarket.fbm import (
     HurstEstimate,
     fgn_autocovariance,
     hurst_aggregated_variance,
-    hurst_split,
     hurst_variogram,
     quadratic_variation,
     sample_fbm,
@@ -115,7 +114,9 @@ def test_mixed_path_qv_tracks_wiener_component():
 def test_mixed_small_scale_hurst_near_half():
     rng = np.random.default_rng(7)
     path = sample_mixed(0.75, 1.0, 2**14, 1.0 / 2**10, rng)
-    fine, coarse = hurst_split(path)
+    # the Wiener component dominates fine lags, the fractional one coarse lags
+    fine = hurst_variogram(path, min_lag=1, max_lag=16)
+    coarse = hurst_variogram(path, min_lag=64, max_lag=path.n // 4)
     assert abs(fine.h_hat - 0.5) < 0.07
     assert coarse.h_hat > fine.h_hat
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from semimarket import market
 from semimarket.config import model_from_dict
 from semimarket.market import (
     AmplitudeModel,
@@ -11,7 +14,8 @@ from semimarket.market import (
     simulate_market,
     theorem_condition,
 )
-from semimarket.semi_markov import stationary_law
+from semimarket.semi_markov import integrate_trajectory, sample_stationary_path, \
+    stationary_law
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -135,21 +139,68 @@ def test_variance_grows_linearly_in_n():
     assert 1.4 < ratio < 2.7  # agents independent: Var scales with N
 
 
-def test_agent_engine_matches_single_trajectory_integral():
-    # dual route: the chunk engine's occupation integral against the exact
-    # per-trajectory closed form, via matching the total time-in-state ratios
-    cfg = small_cfg(EXAMPLE_A, n_agents=300, epsilon=1.0, horizon=50.0, n_grid=101)
-    agg = simulate_market(cfg, replicate=0, center_mu=0.0)
-    # E[x] = mu = 0 for the symmetric model and Y/N is the empirical mean mood:
-    # its time integral X/N stays near zero with the MC band ~ sqrt(t * C / N)
-    assert abs(agg.x_raw[-1]) / cfg.n_agents < 4.0 * np.sqrt(50.0 * 3.0 / 300)
+def test_one_agent_market_equals_its_trajectory_integral():
+    # dual route: the binned market integral of one agent against the exact
+    # closed form on the trajectory sample_stationary_path draws from the same stream
+    cfg = small_cfg(EXAMPLE_A, n_agents=1, epsilon=0.5, horizon=200.0, n_grid=1001)
+    agg = simulate_market(cfg, replicate=2, center_mu=0.0)
+    traj = sample_stationary_path(cfg.model, cfg.horizon / cfg.epsilon,
+                                  np.random.default_rng([cfg.seed, 2, 1]))
+    assert traj.states.size > 100
+    grid = np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon
+    exact = cfg.epsilon * integrate_trajectory(traj, grid_times=grid).values
+    np.testing.assert_allclose(agg.x_raw, exact, rtol=0.0, atol=1e-12 * np.abs(exact).max())
+    held = traj.states[np.searchsorted(traj.jump_times, grid, side="right") - 1]
+    np.testing.assert_array_equal(agg.y, held)
 
 
-def test_memory_budget_guard():
-    cfg = small_cfg(EXAMPLE_A, n_agents=10000, epsilon=1e-6, horizon=10.0,
-                    budget_mb=64.0)
-    with pytest.raises(MemoryError, match="budget"):
+def _argsort_occupation(x0_sum, ev_t, ev_d, horizon, query_times):
+    """Oracle: sort every event, integrate the step function, interpolate at the queries."""
+    order = np.argsort(ev_t, kind="stable")
+    tau = np.concatenate([[0.0], ev_t[order]])
+    z = x0_sum + np.concatenate([[0.0], np.cumsum(ev_d[order])])
+    tau_x = np.concatenate([tau, [horizon]])
+    v = np.concatenate([[0.0], np.cumsum(z * np.diff(tau_x))])
+    cum = np.interp(query_times, tau_x, v)
+    z_idx = np.clip(np.searchsorted(tau, query_times, side="right") - 1, 0, z.size - 1)
+    return cum, z[z_idx]
+
+
+def test_binner_matches_sorted_aggregation_oracle(monkeypatch):
+    monkeypatch.setattr(market, "_FLUSH_EVENTS", 3000)   # several flushes
+    rng = np.random.default_rng(9)
+    grid = np.linspace(0.0, 8.0, 257) / 0.01
+    t = rng.uniform(0.0, grid[-1], 20000)
+    t[:5] = grid[[1, 2, 2, 100, 255]]                   # events on grid points
+    d = rng.choice([-2.0, -1.0, 1.0, 2.0], t.size)
+    binner = market._GridBinner(grid)
+    for part in np.array_split(np.arange(t.size), 13):
+        binner.add(t[part], d[part])
+    cum, rate = binner.occupation(3.0)
+    ref_cum, ref_rate = _argsort_occupation(3.0, t, d, grid[-1], grid)
+    np.testing.assert_array_equal(rate, ref_rate)
+    np.testing.assert_allclose(cum, ref_cum, rtol=0.0, atol=1e-12 * np.abs(ref_cum).max())
+
+
+def test_initial_state_conditions_the_start():
+    cfg = small_cfg(EXAMPLE_A, n_agents=1)
+    for rep in range(20):
+        assert simulate_market(cfg, replicate=rep, initial_state=1).y[0] == 1.0
+    with pytest.raises(ValueError, match="initial_state"):
+        simulate_market(cfg, stationary=False)
+
+
+def test_market_memory_does_not_grow_with_the_event_count():
+    # 1.6 M against 6.4 M agent events: only the grid and one event buffer are held
+    peaks = []
+    for horizon in (16.0, 64.0):
+        cfg = small_cfg(EXAMPLE_A, n_agents=200, epsilon=1e-3, horizon=horizon,
+                        n_grid=4097)
+        tracemalloc.start()
         simulate_market(cfg)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_determinism_bit_identical():

@@ -20,9 +20,7 @@ from semimarket.renewal import (
     renewal_function,
     solve_volterra,
     stationary_first_passage,
-    stationary_renewal,
     stationary_transition,
-    survival_h,
     tail_constant_Cj,
     variance_of_integral,
     write_grid_csv,
@@ -94,14 +92,15 @@ def test_kernel_identity_q_plus_h(example_a):
 def test_survival_markov_kernel_exponential():
     model = model_from_dict(TWO_STATE_MARKOV)
     g = Grid.for_horizon(5.0, 0.01)
-    h = survival_h(kernel_on_grid(model, g))
-    np.testing.assert_allclose(h[0].values, np.exp(-g.times()), atol=1e-12)
+    h = kernel_on_grid(model, g).survival
+    np.testing.assert_allclose(h[0], np.exp(-g.times()), atol=1e-12)
 
 
 def test_survival_heavy_state_is_pareto_tail(example_a):
     g = Grid.for_horizon(5.0, 0.01)
-    h = survival_h(kernel_on_grid(example_a, g))
-    np.testing.assert_allclose(h[0].values, example_a.law(0, 1).tail(g.times()), atol=1e-12)
+    kernel = kernel_on_grid(example_a, g)
+    h0 = kernel.survival[kernel.states.index(0)]
+    np.testing.assert_allclose(h0, example_a.law(0, 1).tail(g.times()), atol=1e-12)
 
 
 # -- convolution / solver ---------------------------------------------------------
@@ -323,7 +322,7 @@ def test_delayed_and_stationary_renewal(example_a):
     assert r_delayed.values[0] == pytest.approx(0.0)
     assert np.all(np.diff(r_delayed.values) >= -1e-9)
     fstar = stationary_first_passage(example_a, g, -1, 1, law=law)
-    rstar = stationary_renewal(r11, fstar)
+    rstar = delayed_renewal(r11, fstar)
     assert rstar.values[0] == pytest.approx(0.0)
     # both renewal measures share the 1/eta slope at large t
     assert (r_delayed.at(50.0) - r_delayed.at(30.0)) / 20.0 == pytest.approx(

@@ -11,6 +11,7 @@ from semimarket.semi_markov import (
     expected_visits_before_hit,
     hurst_from_alpha,
     integrate_trajectory,
+    jump_rounds,
     limit_constant_c2,
     sample_path,
     states_at_times,
@@ -294,18 +295,18 @@ def test_stationary_marginal_matches_nu(example_a):
         np.testing.assert_allclose(freq, law.nu, atol=0.012)
 
 
+def _first_sojourns_from_zero(model, n_agents, seed):
+    # the engine's first round with no horizon: every agent leaves xi_0 at T_1
+    rounds = jump_rounds(model, n_agents, np.inf, np.random.default_rng(seed))
+    next(rounds)
+    _, t1, src, _ = next(rounds)
+    return t1[src == model.space.index(0)]
+
+
 def test_stationary_residual_sojourn_tail(example_a):
     # T_1 | xi_0 = k has tail  ∫_t^∞ h(k,s) ds / m_k  (numeric-integral oracle)
-    from semimarket.semi_markov import _draw_stationary_start
-
-    law = stationary_law(example_a)
-    rng = np.random.default_rng(23)
-    draws = []
-    while len(draws) < 4000:
-        k, _, t1 = _draw_stationary_start(example_a, law, rng)
-        if k == 0:
-            draws.append(t1)
-    draws = np.array(draws)
+    draws = _first_sojourns_from_zero(example_a, 6000, 23)
+    assert draws.size > 4000
     zero_law = example_a.law(0, 1)
 
     def resid_cdf(v):
@@ -316,8 +317,6 @@ def test_stationary_residual_sojourn_tail(example_a):
 
 
 def test_stationary_exponential_residual_is_exponential():
-    from semimarket.semi_markov import _draw_stationary_start
-
     cfg = {
         "states": [0, 1],
         "transitions": [[0.0, 1.0], [1.0, 0.0]],
@@ -326,16 +325,24 @@ def test_stationary_exponential_residual_is_exponential():
             "1": {"family": "exponential", "rate": 1.0},
         },
     }
-    model = model_from_dict(cfg)
-    law = stationary_law(model)
-    rng = np.random.default_rng(3)
-    draws = []
-    while len(draws) < 4000:
-        k, _, t1 = _draw_stationary_start(model, law, rng)
-        if k == 0:
-            draws.append(t1)
-    stat = kstest(np.array(draws), lambda v: 1.0 - np.exp(-2.0 * v)).statistic
-    assert stat < 1.36 / np.sqrt(len(draws)) * 1.5
+    draws = _first_sojourns_from_zero(model_from_dict(cfg), 12000, 3)
+    assert draws.size > 3500
+    stat = kstest(draws, lambda v: 1.0 - np.exp(-2.0 * v)).statistic
+    assert stat < 1.36 / np.sqrt(draws.size) * 1.5
+
+
+def test_engine_rounds_are_consistent(asym):
+    # each round leaves the state the agent holds and enters a feasible one,
+    # and every agent's epochs increase inside (0, horizon)
+    rounds = jump_rounds(asym, 200, 50.0, np.random.default_rng(4))
+    cur = next(rounds)
+    last = np.zeros(200)
+    p = asym.chain.p
+    for agents, t, src, dst in rounds:
+        np.testing.assert_array_equal(src, cur[agents])
+        assert np.all(p[src, dst] > 0.0)
+        assert np.all((t > last[agents]) & (t < 50.0))
+        cur[agents], last[agents] = dst, t
 
 
 def test_states_at_times_time_invariance_chisquare(example_a):
@@ -392,7 +399,7 @@ def test_integral_at_exactness(example_a):
     traj = sample_path(example_a, 0, 50.0, rng)
     ts = np.linspace(0.0, 50.0, 7)
     fine = np.linspace(0.0, 50.0, 2_000_001)
-    states_fine = traj.state_at(fine)
+    states_fine = traj.states[np.searchsorted(traj.jump_times, fine, side="right") - 1]
     riemann = np.cumsum(states_fine[:-1] * np.diff(fine))
     idx = np.searchsorted(fine, ts)[1:] - 1
     np.testing.assert_allclose(traj.integral_at(ts)[1:], riemann[idx], atol=2e-3)
