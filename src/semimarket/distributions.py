@@ -1,4 +1,4 @@
-"""Sojourn-time distributions: exact tails, means, densities and samplers.
+"""Sojourn-time distributions: exact tails, means and samplers.
 
 Two regimes matter for the market model: heavy-tailed (regularly varying,
 index 1 < alpha < 2) laws for the inactive state and light-tailed laws for
@@ -50,9 +50,6 @@ class SojournLaw:
 
     def cdf(self, t):
         return 1.0 - self.tail(t)
-
-    def pdf(self, t):
-        raise NotImplementedError
 
     @property
     def mean(self):
@@ -120,11 +117,6 @@ class Pareto(SojournLaw):
         with np.errstate(divide="ignore"):
             return np.where(t < self.scale, 1.0, (np.maximum(t, self.scale) / self.scale) ** -self.alpha)
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        body = (self.alpha / self.scale) * (np.maximum(t, self.scale) / self.scale) ** (-self.alpha - 1.0)
-        return np.where(t < self.scale, 0.0, body)
-
     @property
     def mean(self):
         return self.scale * self.alpha / (self.alpha - 1.0)
@@ -174,12 +166,6 @@ class ParetoLog(SojournLaw):
         y = np.maximum(t, self.scale) / self.scale
         return np.where(t < self.scale, 1.0, y**-self.alpha * (1.0 + np.log(y)))
 
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        y = np.maximum(t, self.scale) / self.scale
-        body = (y ** (-self.alpha - 1.0) / self.scale) * (self.alpha * (1.0 + np.log(y)) - 1.0)
-        return np.where(t < self.scale, 0.0, body)
-
     @property
     def mean(self):
         a = self.alpha
@@ -215,9 +201,6 @@ class Exponential(SojournLaw):
     def tail(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
 
-    def pdf(self, t):
-        return self.rate * self.tail(t)
-
     @property
     def mean(self):
         return 1.0 / self.rate
@@ -245,11 +228,6 @@ class Uniform(SojournLaw):
     def tail(self, t):
         t = np.asarray(t, dtype=float)
         return np.clip((self.hi - t) / (self.hi - self.lo), 0.0, 1.0)
-
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= self.lo) & (t <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     @property
     def mean(self):

@@ -113,9 +113,15 @@ class ExperimentSpec:
             raise ValueError("replicate count must be >= 1")
 
 
+_SPEC_KEYS = ("kind", "model", "params", "seed", "replicates", "out", "threads")
+
+
 def load_experiment(path) -> ExperimentSpec:
     with open(path) as fh:
         raw = json.load(fh)
+    unknown = sorted(set(raw) - set(_SPEC_KEYS))
+    if unknown:
+        raise ValueError(f"unknown spec keys {unknown}; known: {list(_SPEC_KEYS)}")
     model = raw.get("model")
     if isinstance(model, str):
         base = os.path.dirname(os.path.abspath(path))

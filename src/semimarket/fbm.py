@@ -8,7 +8,7 @@ serve as the verification instruments for the scaling-limit experiments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class HurstEstimate:
             raise ValueError(f"Hurst estimate {self.h_hat} outside (0,1); degenerate input?")
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def fgn_autocovariance(hurst, lag):

@@ -3,6 +3,10 @@
 Computes first-passage laws, renewal functions, stationary transition
 probabilities, the covariance function of the stationary mood process and its
 predicted heavy-tail asymptotics, and the heavy-tailed key renewal check.
+Stationary transitions and the covariance are two reductions of one routine
+that forms the equilibrium equations: the equations are linear in the start
+state, so weighted start states are summed first and each target state and
+weight row costs one scalar renewal solve.
 
 Numerics: uniform time grid; Stieltjes convolutions pair exact CDF increments
 with a piecewise-linear (trapezoid) interpolant of the continuous factor;
@@ -31,7 +35,6 @@ __all__ = [
     "kernel_on_grid",
     "first_passage",
     "renewal_function",
-    "delayed_renewal",
     "stationary_first_passage",
     "stationary_transition",
     "tail_constant_Cj",
@@ -72,7 +75,7 @@ class Grid:
 class GridFunction:
     grid: Grid
     values: np.ndarray
-    kind: str = "plain"  # distribution | density | plain
+    kind: str = "plain"  # distribution | plain
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -84,8 +87,6 @@ class GridFunction:
             if np.any(np.diff(v) < -slack) or v.min() < -slack or v.max() > 1.0 + slack:
                 raise ValueError("distribution-kind grid function out of bounds; "
                                  "grid step too coarse for this kernel")
-        if self.kind == "density" and v.min() < -slack:
-            raise ValueError("density-kind grid function must be nonnegative")
 
     def at(self, t):
         return np.interp(np.asarray(t, dtype=float), self.grid.times(), self.values)
@@ -277,12 +278,7 @@ def first_passage(model: SemiMarkovModel, grid: Grid, target, kernel: KernelGrid
     jj = states.index(target)
     others = [k for k in range(len(states)) if k != jj]
     dq = kernel.dq
-    forcing = np.stack([kernel.q[i, jj] for i in others])
-    dk = np.zeros((len(others), len(others), grid.n_points))
-    for a, i in enumerate(others):
-        for b, k in enumerate(others):
-            dk[a, b] = dq[i, k]
-    x = solve_volterra(forcing, dk)
+    x = solve_volterra(kernel.q[others, jj], dq[np.ix_(others, others)])
     out = {}
     for a, i in enumerate(others):
         out[states[i]] = GridFunction(grid, np.clip(x[a], 0.0, None), kind="distribution")
@@ -293,21 +289,17 @@ def first_passage(model: SemiMarkovModel, grid: Grid, target, kernel: KernelGrid
     return out
 
 
+def _renewal_solve(forcing, f_values):
+    """Solve w = forcing + F * w on the grid, F given by its values there."""
+    df = np.zeros(f_values.size)
+    df[1:] = np.diff(f_values)
+    return solve_volterra(forcing[None, :], df[None, None, :])[0]
+
+
 def renewal_function(f_jj: GridFunction) -> GridFunction:
     """R(t) = expected entrances in [0,t] counting the one at 0; solves R = 1 + F*R."""
-    grid = f_jj.grid
-    df = np.zeros(grid.n_points)
-    df[1:] = np.diff(f_jj.values)
-    r = solve_volterra(np.ones((1, grid.n_points)), df[None, None, :])[0]
-    return GridFunction(grid, r, kind="plain")
-
-
-def delayed_renewal(r_jj: GridFunction, f_ij: GridFunction) -> GridFunction:
-    """R(i,j,t) = ∫_0^t R(j,j,t-u) F(i,j,du)."""
-    df = np.zeros(f_ij.grid.n_points)
-    df[1:] = np.diff(f_ij.values)
-    vals = conv_stieltjes(df, r_jj.values, atom0=float(f_ij.values[0]))
-    return GridFunction(r_jj.grid, vals, kind="plain")
+    r = _renewal_solve(np.ones(f_jj.grid.n_points), f_jj.values)
+    return GridFunction(f_jj.grid, r, kind="plain")
 
 
 def _stationary_pieces(model, law: StationaryLaw, grid: Grid):
@@ -354,42 +346,62 @@ def stationary_first_passage(model: SemiMarkovModel, grid: Grid, start, target,
     return GridFunction(grid, np.clip(out, 0.0, None), kind="distribution")
 
 
+def _equilibrium_deviations(model, grid, law: StationaryLaw, targets, weights):
+    """D[t, r] = sum_i weights[r, i] (P*(i, targets[t]) - nu_targets[t]) on the grid.
+
+    P*_t(i,j) = delta_ij s(i,t)/nu_i + ∫_0^t h(j,t-u) R*(i,j,du) with
+    R*(i,j,.) = R(j,j,.) * F*(i,j,.).  Every step is linear in the start
+    state, so each weight row is applied to F*(., j) first.  The convolution
+    against the renewal measure is rolled into one renewal equation
+    w = z + dF(j,j)*w with z = dF*_row * h(j,.) (so w = z * dR), and the exact
+    limit nu_j = m_j/eta_j is subtracted afterwards; the Stieltjes increments
+    keep the renewal mass exact, so no spurious offset survives under the
+    heavy-tail decay.  Cost: one first passage and one scalar renewal solve
+    per weight row for each target.
+    """
+    kernel = kernel_on_grid(model, grid)
+    pieces = _stationary_pieces(model, law, grid)
+    s = pieces[0]
+    states = list(model.space.states)
+    weights = np.asarray(weights, dtype=float)
+    starts = [ii for ii in range(len(states)) if np.any(weights[:, ii])]
+    out = np.empty((len(targets), weights.shape[0], grid.n_points))
+    for t, j in enumerate(targets):
+        jj = states.index(j)
+        passage = first_passage(model, grid, j, kernel=kernel)
+        fstar = np.zeros((len(states), grid.n_points))
+        for ii in starts:
+            fstar[ii] = stationary_first_passage(model, grid, states[ii], j, passage=passage,
+                                                 law=law, pieces=pieces).values
+        for r, row in enumerate(weights @ fstar):
+            drow = np.zeros(grid.n_points)
+            drow[1:] = np.diff(row)
+            z = conv_stieltjes(drow, kernel.survival[jj])
+            w = _renewal_solve(z, passage[j].values)
+            out[t, r] = (w - law.nu[jj] * weights[r].sum()
+                         + weights[r, jj] * s[jj] / law.nu[jj])
+    return out
+
+
 def stationary_transition(model: SemiMarkovModel, grid: Grid,
-                          law: StationaryLaw | None = None, check_rows=True):
+                          law: StationaryLaw | None = None):
     """Equilibrium transition probabilities P*_t(i,j) for all state pairs.
 
-    P*_t(i,j) = delta_ij s(i,t)/nu_i + ∫_0^t h(j,t-s) R*(i,j,ds).  Rows must
-    sum to 1 within 10*dt and approach nu at the horizon.
+    P*_t(i,j) = delta_ij s(i,t)/nu_i + ∫_0^t h(j,t-s) R*(i,j,ds), formed in
+    deviation form with one renewal solve per state pair and nu_j added back.
+    Rows must sum to 1 within 10*dt and approach nu at the horizon.
     """
     law = law if law is not None else stationary_law(model)
     if grid.dt > min(law.m) / 20.0 + 1e-12:
         raise ValueError(
             f"grid step {grid.dt} too coarse: need dt <= min mean sojourn / 20 "
             f"= {min(law.m) / 20.0}")
-    kernel = kernel_on_grid(model, grid)
     states = list(model.space.states)
-    n = len(states)
-    pieces = _stationary_pieces(model, law, grid)
-    s = pieces[0]
-    out = np.zeros((n, n, grid.n_points))
-    for jj, j in enumerate(states):
-        passage = first_passage(model, grid, j, kernel=kernel)
-        r_jj = renewal_function(passage[j])
-        for ii, i in enumerate(states):
-            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
-                                             law=law, pieces=pieces)
-            rstar = delayed_renewal(r_jj, fstar)  # R*(i,j,.) = R(j,j,.) * F*(i,j,.)
-            drs = np.zeros(grid.n_points)
-            drs[1:] = np.diff(rstar.values)
-            vals = conv_stieltjes(drs, kernel.survival[jj], atom0=float(rstar.values[0]))
-            if ii == jj:
-                vals = vals + s[ii] / law.nu[ii]
-            out[ii, jj] = vals
-    if check_rows:
-        rows = out.sum(axis=1)
-        drift = np.abs(rows - 1.0).max()
-        if drift > 10.0 * grid.dt:
-            raise ValueError(f"P* row sums drift {drift:.3e} beyond 10*dt; refine the grid")
+    dev = _equilibrium_deviations(model, grid, law, states, np.eye(len(states)))
+    out = dev.transpose(1, 0, 2) + law.nu[None, :, None]  # out[i, j] = P*(i, j)
+    drift = np.abs(out.sum(axis=1) - 1.0).max()
+    if drift > 10.0 * grid.dt:
+        raise ValueError(f"P* row sums drift {drift:.3e} beyond 10*dt; refine the grid")
     return {(i, j): GridFunction(grid, out[ii, jj], kind="plain")
             for ii, i in enumerate(states) for jj, j in enumerate(states)}
 
@@ -406,53 +418,22 @@ def tail_constant_Cj(model: SemiMarkovModel, target, law: StationaryLaw | None =
     return float(law.m[jj] / law.eta[jj] ** 2 * visits)
 
 
-def _deviation_to_equilibrium(grid, kernel, target, passage, fstar, nu_j):
-    """d(i,j,t) = ∫_0^t h(j,t-s) R*(i,j,ds) - nu_j.
-
-    The convolution against the renewal measure is rolled into one renewal
-    equation w = z + dF(j,j)*w with z = dF*(i,j)*h(j,.) (so w = z * dR), and
-    the exact limit nu_j = m_j/eta_j is subtracted afterwards; the Stieltjes
-    increments keep the renewal mass exact, so no spurious offset survives
-    under the heavy-tail decay.
-    """
-    states = list(kernel.states)
-    jj = states.index(target)
-    dfs = np.zeros(grid.n_points)
-    dfs[1:] = np.diff(fstar.values)
-    z = conv_stieltjes(dfs, kernel.survival[jj])
-    df = np.zeros(grid.n_points)
-    df[1:] = np.diff(passage[target].values)
-    w = solve_volterra(z[None, :], df[None, None, :])[0]
-    return w - nu_j
-
-
 def covariance_gamma(model: SemiMarkovModel, grid: Grid,
                      law: StationaryLaw | None = None) -> GridFunction:
     """Equilibrium covariance gamma(t) = sum_{i,j} i j nu_i (P*_t(i,j) - nu_j).
 
-    Only i, j != 0 contribute.  Each summand is evaluated in deviation form so
+    Only i, j != 0 contribute.  The start states are summed with weights
+    i nu_i before the solve, so each active target j costs one first passage
+    and one scalar renewal solve.  Each summand is in deviation form, so
     gamma -> 0 exactly on the grid; the heavy-tail decay at large t is then
     visible instead of drowning under a constant discretization offset.
     """
     law = law if law is not None else stationary_law(model)
-    kernel = kernel_on_grid(model, grid)
     states = list(model.space.states)
     active = [st for st in states if st != 0]
-    pieces = _stationary_pieces(model, law, grid)
-    s_arr = pieces[0]
-    gamma = np.zeros(grid.n_points)
-    for j in active:
-        jj = states.index(j)
-        passage = first_passage(model, grid, j, kernel=kernel)
-        for i in active:
-            ii = states.index(i)
-            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
-                                             law=law, pieces=pieces)
-            dev = _deviation_to_equilibrium(grid, kernel, j, passage, fstar,
-                                            law.nu[jj])
-            if i == j:
-                dev = dev + s_arr[ii] / law.nu[ii]
-            gamma += i * j * law.nu[ii] * dev
+    weights = (np.asarray(states, dtype=float) * law.nu)[None, :]
+    dev = _equilibrium_deviations(model, grid, law, active, weights)
+    gamma = np.asarray(active, dtype=float) @ dev[:, 0]
     return GridFunction(grid, gamma, kind="plain")
 
 
@@ -501,9 +482,7 @@ def key_renewal_asymptote(f_law, z: GridFunction, grid: Grid):
     fbar = f_law.tail(t)
     kappa = f_law.mean
     lam = _simpson_integral(z.values, grid.dt)
-    df = np.zeros(grid.n_points)
-    df[1:] = np.diff(f_law.cdf(t))
-    w = solve_volterra(z.values[None, :], df[None, None, :])[0]
+    w = _renewal_solve(z.values, f_law.cdf(t))
     h_num = lam / kappa - w
     report = {"kappa": kappa, "lambda": lam, "ratio_limit": float(lam / kappa),
               "applicable": bool(f_law.is_heavy)}

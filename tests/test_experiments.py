@@ -123,6 +123,20 @@ def test_load_experiment_resolves_model_path(tmp_path):
     assert spec.seed == 5
 
 
+def test_load_experiment_rejects_unknown_keys(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "key-renewal", "budget_mb": 64, "sed": 3}))
+    with pytest.raises(ValueError, match="budget_mb") as err:
+        load_experiment(spec_path)
+    assert "sed" in str(err.value)
+
+
+def test_shipped_limit_verification_config_loads():
+    spec = load_experiment("configs/limit_verification.json")
+    assert spec.kind == "limit-verification"
+    assert spec.model["states"] == [-1, 0, 1]
+
+
 def test_validate_report_catches_problems():
     good = {"schema_version": "1", "kind": "x", "seed": 1, "passed": True,
             "cells": [{"name": "c", "metrics": {}, "verdicts":
@@ -227,6 +241,14 @@ def test_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "nope.json"
     rc = cli_main(["example-a", "--config", str(cfg)])
     assert rc == 2
+
+
+def test_cli_rejects_unknown_spec_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "key-renewal", "budget_mb": 64}))
+    rc = cli_main(["key-renewal", "--config", str(cfg)])
+    assert rc == 2
+    assert "budget_mb" in capsys.readouterr().err
 
 
 def test_threads_market_sweep_matches_serial():

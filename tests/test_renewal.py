@@ -6,14 +6,15 @@ import pytest
 
 from semimarket.config import model_from_dict
 from semimarket.distributions import Exponential, Pareto
+from semimarket import renewal
 from semimarket.renewal import (
     Grid,
     GridFunction,
     _simpson_integral,
+    _stationary_pieces,
     asymptotic_covariance,
     conv_stieltjes,
     covariance_gamma,
-    delayed_renewal,
     first_passage,
     kernel_on_grid,
     key_renewal_asymptote,
@@ -271,6 +272,36 @@ def test_first_passage_tail_constants(example_a):
         assert ratios[-1] == pytest.approx(expected, rel=0.12)
 
 
+def _first_passage_loops(model, grid, target):
+    """first_passage with its equations assembled entry by entry; oracle."""
+    kernel = kernel_on_grid(model, grid)
+    states = list(kernel.states)
+    jj = states.index(target)
+    others = [k for k in range(len(states)) if k != jj]
+    dq = kernel.dq
+    forcing = np.stack([kernel.q[i, jj] for i in others])
+    dk = np.zeros((len(others), len(others), grid.n_points))
+    for a, i in enumerate(others):
+        for b, k in enumerate(others):
+            dk[a, b] = dq[i, k]
+    x = solve_volterra(forcing, dk)
+    out = {states[i]: np.clip(x[a], 0.0, None) for a, i in enumerate(others)}
+    ret = kernel.q[jj, jj].copy()
+    for b, k in enumerate(others):
+        ret += conv_stieltjes(dq[jj, k], x[b])
+    out[target] = np.clip(ret, 0.0, None)
+    return out
+
+
+@pytest.mark.parametrize("target", [-1, 0, 1])
+def test_first_passage_equals_loop_assembly(asym, target):
+    g = Grid.for_horizon(100.0, 0.01)
+    fp = first_passage(asym, g, target)
+    oracle = _first_passage_loops(asym, g, target)
+    for start in (-1, 0, 1):
+        assert np.array_equal(fp[start].values, oracle[start])
+
+
 def test_first_passage_garbage_flagged_by_distribution_kind():
     # a solve that leaves the [0, 1+10dt] envelope is rejected as non-convergent
     g = Grid(dt=0.001, n_points=4)
@@ -313,16 +344,24 @@ def test_elementary_renewal_slope(example_a):
     assert r.at(3000.0) / 3000.0 == pytest.approx(1.0 / eta, rel=0.05)
 
 
+def _delayed_renewal(r_jj: GridFunction, f_ij: GridFunction) -> GridFunction:
+    """R(i,j,t) = ∫_0^t R(j,j,t-u) F(i,j,du); a step of the P* oracle route."""
+    df = np.zeros(f_ij.grid.n_points)
+    df[1:] = np.diff(f_ij.values)
+    vals = conv_stieltjes(df, r_jj.values, atom0=float(f_ij.values[0]))
+    return GridFunction(r_jj.grid, vals, kind="plain")
+
+
 def test_delayed_and_stationary_renewal(example_a):
     g = Grid.for_horizon(50.0, 0.01)
     law = stationary_law(example_a)
     fp = first_passage(example_a, g, 1)
     r11 = renewal_function(fp[1])
-    r_delayed = delayed_renewal(r11, fp[-1])
+    r_delayed = _delayed_renewal(r11, fp[-1])
     assert r_delayed.values[0] == pytest.approx(0.0)
     assert np.all(np.diff(r_delayed.values) >= -1e-9)
     fstar = stationary_first_passage(example_a, g, -1, 1, law=law)
-    rstar = delayed_renewal(r11, fstar)
+    rstar = _delayed_renewal(r11, fstar)
     assert rstar.values[0] == pytest.approx(0.0)
     # both renewal measures share the 1/eta slope at large t
     assert (r_delayed.at(50.0) - r_delayed.at(30.0)) / 20.0 == pytest.approx(
@@ -370,6 +409,46 @@ def test_stationary_fp_tail_constant(asym):
     expected = expected_visits_before_hit(asym, -1, 1)
     ratio = (1.0 - fstar.at(1500.0)) / 1500.0**-1.5
     assert ratio == pytest.approx(expected, rel=0.12)
+
+
+def _stationary_transition_oracle(model, grid, law):
+    """P*(i, j) as an (n, n, M) array by the renewal-measure route.
+
+    R(j,j) from its renewal equation, R*(i,j) = R(j,j) * F*(i,j) by
+    convolution, then P* = delta_ij s(i,.)/nu_i + h(j,.) * dR*(i,j).
+    """
+    kernel = kernel_on_grid(model, grid)
+    states = list(model.space.states)
+    n = len(states)
+    pieces = _stationary_pieces(model, law, grid)
+    s = pieces[0]
+    out = np.zeros((n, n, grid.n_points))
+    for jj, j in enumerate(states):
+        passage = first_passage(model, grid, j, kernel=kernel)
+        r_jj = renewal_function(passage[j])
+        for ii, i in enumerate(states):
+            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
+                                             law=law, pieces=pieces)
+            rstar = _delayed_renewal(r_jj, fstar)
+            drs = np.zeros(grid.n_points)
+            drs[1:] = np.diff(rstar.values)
+            out[ii, jj] = conv_stieltjes(drs, kernel.survival[jj], atom0=float(rstar.values[0]))
+            if ii == jj:
+                out[ii, jj] += s[ii] / law.nu[ii]
+    return out
+
+
+@pytest.mark.parametrize("name, horizon, dt", [("example_a", 12.0, 0.005),
+                                               ("asym", 3000.0, 0.05)])
+def test_stationary_transition_matches_renewal_route_oracle(request, name, horizon, dt):
+    model = request.getfixturevalue(name)
+    g = Grid.for_horizon(horizon, dt)
+    law = stationary_law(model)
+    ps = stationary_transition(model, g, law=law)
+    states = model.space.states
+    got = np.array([[ps[(i, j)].values for j in states] for i in states])
+    oracle = _stationary_transition_oracle(model, g, law)
+    assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
 
 def test_stationary_transition_identity_at_zero(example_a):
@@ -489,6 +568,67 @@ def test_gamma_tail_ratio_and_slope(asym):
     assert np.all(np.abs(ratios - 1.0) < 0.15)
     slope, *_ = fit_slope(t_q, gamma.at(t_q))
     assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+def _covariance_gamma_oracle(model, grid, law):
+    """gamma as the sum over active pairs (i, j) of i j nu_i (P*(i,j) - nu_j).
+
+    One renewal solve per pair: w = z + dF(j,j) * w with z = dF*(i,j) * h(j,.).
+    """
+    kernel = kernel_on_grid(model, grid)
+    states = list(model.space.states)
+    pieces = _stationary_pieces(model, law, grid)
+    s = pieces[0]
+    gamma = np.zeros(grid.n_points)
+    for j in states:
+        if j == 0:
+            continue
+        jj = states.index(j)
+        passage = first_passage(model, grid, j, kernel=kernel)
+        df = np.zeros(grid.n_points)
+        df[1:] = np.diff(passage[j].values)
+        for ii, i in enumerate(states):
+            if i == 0:
+                continue
+            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
+                                             law=law, pieces=pieces)
+            dfs = np.zeros(grid.n_points)
+            dfs[1:] = np.diff(fstar.values)
+            z = conv_stieltjes(dfs, kernel.survival[jj])
+            dev = solve_volterra(z[None, :], df[None, None, :])[0] - law.nu[jj]
+            if i == j:
+                dev = dev + s[ii] / law.nu[ii]
+            gamma += i * j * law.nu[ii] * dev
+    return gamma
+
+
+def test_gamma_matches_per_pair_oracle(asym):
+    g = Grid.for_horizon(2000.0, 0.05)
+    law = stationary_law(asym)
+    gamma = covariance_gamma(asym, g, law=law).values
+    oracle = _covariance_gamma_oracle(asym, g, law)
+    assert np.abs(gamma - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+
+def test_renewal_solve_counts(monkeypatch, asym):
+    # one first passage and one renewal solve per active target for gamma,
+    # one first passage per target plus one solve per state pair for P*
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_volterra(*args, **kwargs)
+
+    monkeypatch.setattr(renewal, "solve_volterra", counting)
+    g = Grid.for_horizon(10.0, 0.01)
+    covariance_gamma(asym, g)
+    assert len(calls) == 4
+    calls.clear()
+    stationary_transition(asym, g)
+    assert len(calls) == 3 + 9
+    calls.clear()
+    key_renewal_asymptote(Pareto(scale=1.0, alpha=1.5), GridFunction(g, np.exp(-g.times())), g)
+    assert len(calls) == 1
 
 
 def test_asymptotic_covariance_requires_condition(example_a):
