@@ -25,7 +25,7 @@ def _build_parser():
         p.add_argument("--config", help="experiment spec JSON (model, params, seed)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory for report.json and CSV tables")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument("--threads", type=int, help="worker processes (default: spec's, else 1)")
     return parser
 
 
@@ -47,7 +47,8 @@ def main(argv=None):
         spec.seed = args.seed
     if args.out:
         spec.out_dir = args.out
-    spec.threads = args.threads
+    if args.threads is not None:
+        spec.threads = args.threads
 
     print(f"semimarket {__version__} | kind={spec.kind} seed={spec.seed} "
           f"threads={spec.threads}", file=sys.stderr)

@@ -2,8 +2,12 @@
 
 Each experiment kind bundles one verification pipeline (generator self-test,
 market scaling limits, renewal tables, integral identities, ...) into cells
-with named verdicts against quantitative bands.  `run` executes a spec,
-writes report.json plus CSV artifacts, and is deterministic given (spec, seed).
+with named verdicts against quantitative bands.  `EXPERIMENT_KINDS` defines
+each kind by its runner, default model and default params; a spec may
+override only those params, and its model is validated when it is built.
+`run` merges the defaults once, writes report.json (which records the model
+and params that ran) plus CSV artifacts, and is deterministic given
+(spec, seed).
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from . import market as mkt
 from . import renewal as rnw
 from .config import model_from_dict
 from .paths import SamplePath
-from .semi_markov import limit_constant_c2, states_at_times, stationary_law
+from .semi_markov import limit_constant_c2, states_at_times, stationary_law, \
+    validate_model
 
 __all__ = [
     "ExperimentSpec",
@@ -97,11 +102,12 @@ def alpha_variant(base, alpha):
 
 @dataclass
 class ExperimentSpec:
+    """A kind, its model and the params that override the kind's defaults."""
+
     kind: str
     model: dict | None = None
     params: dict = field(default_factory=dict)
     seed: int = 7041
-    replicates: int | None = None
     out_dir: str | None = None
     threads: int = 1
 
@@ -109,11 +115,22 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"known: {sorted(EXPERIMENT_KINDS)}")
-        if self.replicates is not None and self.replicates < 1:
-            raise ValueError("replicate count must be >= 1")
+        if not isinstance(self.params, dict) or not isinstance(self.model, (dict, type(None))):
+            raise ValueError("params must be an object and model an object or null")
+        _, default_model, defaults = EXPERIMENT_KINDS[self.kind]
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise ValueError(f"unknown params {unknown} for {self.kind}; "
+                             f"known: {sorted(defaults)}")
+        if self.model is not None:
+            if default_model is None:
+                raise ValueError(f"{self.kind} takes no model")
+            problems = validate_model(model_from_dict(self.model))
+            if problems:
+                raise ValueError(f"invalid model: {'; '.join(problems)}")
 
 
-_SPEC_KEYS = ("kind", "model", "params", "seed", "replicates", "out", "threads")
+_SPEC_KEYS = ("kind", "model", "params", "seed", "out", "threads")
 
 
 def load_experiment(path) -> ExperimentSpec:
@@ -128,15 +145,9 @@ def load_experiment(path) -> ExperimentSpec:
         model_path = model if os.path.isabs(model) else os.path.join(base, model)
         with open(model_path) as mf:
             model = json.load(mf)
-    return ExperimentSpec(
-        kind=raw["kind"],
-        model=model,
-        params=raw.get("params", {}),
-        seed=int(raw.get("seed", 7041)),
-        replicates=raw.get("replicates"),
-        out_dir=raw.get("out"),
-        threads=int(raw.get("threads", 1)),
-    )
+    return ExperimentSpec(kind=raw["kind"], model=model, params=raw.get("params", {}),
+                          seed=int(raw.get("seed", 7041)), out_dir=raw.get("out"),
+                          threads=int(raw.get("threads", 1)))
 
 
 # -- small shared helpers ----------------------------------------------------
@@ -237,10 +248,7 @@ def _fbm_calibration_cells(hs, n, n_seeds, seed):
     return cells
 
 
-def run_fbm_selftest(params, seed):
-    p = {"cov_paths": 20000, "cov_n": 1024, "cov_hs": (0.6, 0.75),
-         "calib_n": 2**14, "calib_seeds": 20, "calib_hs": (0.5, 0.6, 0.75, 0.9)}
-    p.update(params)
+def run_fbm_selftest(p, seed, model, threads):
     cells = [_fbm_cov_cell(h, p["cov_paths"], p["cov_n"], seed) for h in p["cov_hs"]]
     cells += _fbm_calibration_cells(p["calib_hs"], p["calib_n"], p["calib_seeds"], seed)
     return cells, {}
@@ -249,44 +257,40 @@ def run_fbm_selftest(params, seed):
 # -- market experiments --------------------------------------------------------
 
 def _market_config(model_dict, p, seed):
-    model = model_from_dict(model_dict)
-    return mkt.MarketConfig(
-        model=model,
-        n_agents=int(p["n_agents"]),
-        epsilon=float(p["epsilon"]),
-        amplitude=mkt.AmplitudeModel(kind="constant", level=1.0),
-        horizon=float(p["horizon"]),
-        seed=seed,
-        n_grid=int(p["n_grid"]),
-    )
+    """Unit-amplitude market of the model with the params' size and scale."""
+    return mkt.MarketConfig(model=model_from_dict(model_dict), n_agents=int(p["n_agents"]),
+                            epsilon=float(p["epsilon"]), amplitude=mkt.AmplitudeModel(),
+                            horizon=float(p["horizon"]), seed=seed, n_grid=int(p["n_grid"]))
 
 
 def _one_market_hurst(args):
     """Hurst estimates of one replicate; replicate 0 also hands back its path."""
     model_dict, p, seed, replicate, scaling = args
     cfg = _market_config(model_dict, p, seed)
-    if scaling == "markov":
-        agg = mkt.markov_market(cfg, replicate=replicate)
-    else:
-        agg = mkt.simulate_market(cfg, replicate=replicate)
+    simulate = mkt.markov_market if scaling == "markov" else mkt.simulate_market
+    agg = simulate(cfg, replicate=replicate)
     vario, aggvar = market_hurst(agg.path(), min_lag=int(p["min_lag"]))
     return vario.h_hat, aggvar.h_hat, agg if replicate == 0 else None
 
 
-def _median_hurst_cells(name, model_dict, p, seed, scaling, band, threads):
-    """Median-Hurst cell over the replicates, and replicate 0's aggregate path."""
+def _replicate_hursts(model_dict, p, seed, scaling, threads):
+    """Both Hurst estimates of each of the p["seeds"] replicates, and replicate 0's path."""
     args = [(model_dict, p, seed, rep, scaling) for rep in range(int(p["seeds"]))]
     results = _pmap(_one_market_hurst, args, threads)
-    h_v = [r[0] for r in results]
-    h_a = [r[1] for r in results]
+    return [r[0] for r in results], [r[1] for r in results], results[0][2]
+
+
+def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
+    """Median-Hurst cell over the replicates, and replicate 0's aggregate path."""
+    h_v, h_a, agg0 = _replicate_hursts(model_dict, p, seed, scaling, threads)
     med_v, med_a = float(np.median(h_v)), float(np.median(h_a))
     verdicts = [
-        _verdict(f"{name}_median_hurst", med_v, band=band),
+        _verdict(f"{name}_median_hurst", med_v, band=tuple(p["band"])),
         _verdict(f"{name}_estimator_agreement", abs(med_v - med_a), band=(0.0, 0.1)),
     ]
     metrics = {"hurst_variogram": h_v, "hurst_aggvar": h_a,
                "median_variogram": med_v, "median_aggvar": med_a}
-    return _cell(name, metrics, verdicts), results[0][2]
+    return _cell(name, metrics, verdicts), agg0
 
 
 def _path_artifacts(name, agg):
@@ -294,23 +298,13 @@ def _path_artifacts(name, agg):
             f"{name}_log_price.csv": agg.path("log_price")}
 
 
-def run_example_a(params, seed, threads=1, model=None):
-    p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
-         "seeds": 10, "min_lag": 64, "band": (0.43, 0.57)}
-    p.update(params)
-    model_dict = model or EXAMPLE_A_MODEL
-    cell, agg0 = _median_hurst_cells("example_a", model_dict, p, seed, "fractional",
-                                     tuple(p["band"]), threads)
+def run_example_a(p, seed, model, threads):
+    cell, agg0 = _median_hurst_cells("example_a", model, p, seed, "fractional", threads)
     return [cell], _path_artifacts("example_a", agg0)
 
 
-def run_markov_baseline(params, seed, threads=1, model=None):
-    p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
-         "seeds": 10, "min_lag": 64, "band": (0.43, 0.57)}
-    p.update(params)
-    model_dict = model or MARKOV_MODEL
-    cell, agg0 = _median_hurst_cells("markov_baseline", model_dict, p, seed, "markov",
-                                     tuple(p["band"]), threads)
+def run_markov_baseline(p, seed, model, threads):
+    cell, agg0 = _median_hurst_cells("markov_baseline", model, p, seed, "markov", threads)
     # variance linear in t: by stationarity of increments the variogram of the
     # scaled path is rate * lag; fit it linearly on replicate 0's path
     x = agg0.x_scaled
@@ -325,17 +319,11 @@ def run_markov_baseline(params, seed, threads=1, model=None):
     return [cell, lin_cell], {}
 
 
-def run_limit_verification(params, seed, threads=1, model=None):
-    p = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
-         "seeds": 10, "min_lag": 64, "h_band": (0.67, 0.83),
-         "renewal_dt": 0.025, "renewal_horizon": 1.05e4,
-         "slope_window": (1e2, 1e4), "slope_band": (1.4, 1.6)}
-    p.update(params)
-    model_dict = model or LIMIT_MODEL
-    cell, agg0 = _median_hurst_cells("limit_verification", model_dict, p, seed,
-                                     "fractional", tuple(p["h_band"]), threads)
+def run_limit_verification(p, seed, model, threads):
+    cell, agg0 = _median_hurst_cells("limit_verification", model, p, seed, "fractional",
+                                     threads)
     artifacts = _path_artifacts("limit_verification", agg0)
-    model_obj = model_from_dict(model_dict)
+    model_obj = model_from_dict(model)
     grid = rnw.Grid.for_horizon(p["renewal_horizon"], p["renewal_dt"])
     gamma = rnw.covariance_gamma(model_obj, grid)
     var = rnw.variance_of_integral(gamma)
@@ -355,16 +343,13 @@ def run_limit_verification(params, seed, threads=1, model=None):
     artifacts["variance.csv"] = ("variance", var)
     cells = [cell, var_cell]
     # optional sweep cells: informational medians along an (epsilon, N) grid
-    for eps in p.get("sweep_epsilon", ()):
+    for eps in p["sweep_epsilon"]:
         q = dict(p, epsilon=eps, seeds=max(3, int(p["seeds"]) // 3))
-        sweep_args = [(model_dict, q, seed, rep, "fractional")
-                      for rep in range(int(q["seeds"]))]
-        sweep = _pmap(_one_market_hurst, sweep_args, threads)
+        h_v, h_a, _ = _replicate_hursts(model, q, seed, "fractional", threads)
         cells.append(_cell(
             f"sweep_eps_{eps:g}",
-            {"epsilon": eps,
-             "median_variogram": float(np.median([r[0] for r in sweep])),
-             "median_aggvar": float(np.median([r[1] for r in sweep]))},
+            {"epsilon": eps, "median_variogram": float(np.median(h_v)),
+             "median_aggvar": float(np.median(h_a))},
             [],
         ))
     return cells, artifacts
@@ -391,13 +376,8 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
             "counts": counts.tolist(), "min_pvalue": float(pvals.min())}
 
 
-def run_renewal_tables(params, seed, threads=1, model=None):
-    p = {"dt": 0.005, "horizon": 12.0, "mc_replicates": 100000,
-         "t_checks": (1.0, 5.0, 10.0), "stationarity_rep": 3000,
-         "stationarity_seeds": 10}
-    p.update(params)
-    model_dict = model or EXAMPLE_A_MODEL
-    model_obj = model_from_dict(model_dict)
+def run_renewal_tables(p, seed, model, threads):
+    model_obj = model_from_dict(model)
     law = stationary_law(model_obj)
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
     pstar = rnw.stationary_transition(model_obj, grid, law=law)
@@ -438,15 +418,7 @@ def run_renewal_tables(params, seed, threads=1, model=None):
 
 # -- mixed market ----------------------------------------------------------------
 
-def run_mixed_market(params, seed, threads=1, model=None):
-    # eps = 1e-4 puts the inert block's refinement ladder inside the fractional
-    # regime, so its quadratic variation visibly vanishes while the active
-    # block's stays put
-    p = {"epsilon": 1e-4, "n_agents": 200, "horizon": 8.0, "n_grid": 2**11 + 1,
-         "seeds": 3, "rhos": (0.5, 1.0), "qv_blocks": (64, 32, 16, 8),
-         "c2_dt": 0.02, "c2_horizon": 60.0}
-    p.update(params)
-    inert_dict = model or LIMIT_MODEL
+def run_mixed_market(p, seed, model, threads):
     markov_obj = model_from_dict(MARKOV_MODEL)
     blocks = tuple(int(b) for b in p["qv_blocks"])
 
@@ -458,8 +430,8 @@ def run_mixed_market(params, seed, threads=1, model=None):
     qv_active = {rho: [] for rho in p["rhos"]}
     qv_combined_ladder = []
     qv_inert_ladder = []
+    cfg = _market_config(model, p, seed)
     for rep in range(int(p["seeds"])):
-        cfg = _market_config(inert_dict, p, seed)
         for rho in p["rhos"]:
             inert, active, combined = mkt.mixed_market(cfg, rho, markov_obj, replicate=rep)
             qv_active[rho].append(fbm_mod.quadratic_variation(
@@ -496,9 +468,7 @@ def run_mixed_market(params, seed, threads=1, model=None):
 
 # -- integral identities -----------------------------------------------------------
 
-def run_integral_identities(params, seed, threads=1, model=None):
-    p = {"n": 2**12, "hurst": 0.75, "seeds": 5, "levels": 4}
-    p.update(params)
+def run_integral_identities(p, seed, model, threads):
     n, hurst = int(p["n"]), float(p["hurst"])
     dt = 1.0 / n
     rng = np.random.default_rng([seed, 1])
@@ -542,12 +512,9 @@ def run_integral_identities(params, seed, threads=1, model=None):
 
 # -- key renewal --------------------------------------------------------------------
 
-def run_key_renewal(params, seed, threads=1, model=None):
+def run_key_renewal(p, seed, model, threads):
     from .distributions import Pareto
 
-    p = {"alpha": 1.5, "scale": 1.0, "dt": 0.05, "horizon": 1.05e4,
-         "ladder": (1e2, 10**2.5, 1e3, 10**3.5, 1e4), "band": (0.9, 1.1)}
-    p.update(params)
     law = Pareto(scale=float(p["scale"]), alpha=float(p["alpha"]))
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
     z = rnw.GridFunction(grid, np.exp(-grid.times()), kind="plain")
@@ -599,34 +566,57 @@ def limit_constant_comparison(model_dict, dt=0.05, horizon=1.05e4,
             "l_factor": l_factor}
 
 
-# -- dispatcher -----------------------------------------------------------------------
+# -- the experiment table ------------------------------------------------------------
 
+_MARKET = {"epsilon": 1e-3, "n_agents": 1000, "horizon": 64.0, "n_grid": 2**14 + 1,
+           "seeds": 10, "min_lag": 64, "band": (0.43, 0.57)}
+
+# kind -> (runner, default model (None: the kind takes none), default params);
+# a spec's params may only override keys listed here
 EXPERIMENT_KINDS = {
-    "fbm-selftest": run_fbm_selftest,
-    "example-a": run_example_a,
-    "markov-baseline": run_markov_baseline,
-    "limit-verification": run_limit_verification,
-    "renewal-tables": run_renewal_tables,
-    "mixed-market": run_mixed_market,
-    "integral-identities": run_integral_identities,
-    "key-renewal": run_key_renewal,
+    "fbm-selftest": (run_fbm_selftest, None, {
+        "cov_paths": 20000, "cov_n": 1024, "cov_hs": (0.6, 0.75),
+        "calib_n": 2**14, "calib_seeds": 20, "calib_hs": (0.5, 0.6, 0.75, 0.9)}),
+    "example-a": (run_example_a, EXAMPLE_A_MODEL, _MARKET),
+    "markov-baseline": (run_markov_baseline, MARKOV_MODEL, _MARKET),
+    "limit-verification": (run_limit_verification, LIMIT_MODEL, dict(
+        _MARKET, band=(0.67, 0.83), renewal_dt=0.025, renewal_horizon=1.05e4,
+        slope_window=(1e2, 1e4), slope_band=(1.4, 1.6), sweep_epsilon=())),
+    "renewal-tables": (run_renewal_tables, EXAMPLE_A_MODEL, {
+        "dt": 0.005, "horizon": 12.0, "mc_replicates": 100000,
+        "t_checks": (1.0, 5.0, 10.0), "stationarity_rep": 3000, "stationarity_seeds": 10}),
+    # eps = 1e-4 puts the inert block's refinement ladder inside the fractional
+    # regime, so its quadratic variation visibly vanishes while the active
+    # block's stays put
+    "mixed-market": (run_mixed_market, LIMIT_MODEL, {
+        "epsilon": 1e-4, "n_agents": 200, "horizon": 8.0, "n_grid": 2**11 + 1,
+        "seeds": 3, "rhos": (0.5, 1.0), "qv_blocks": (64, 32, 16, 8),
+        "c2_dt": 0.02, "c2_horizon": 60.0}),
+    "integral-identities": (run_integral_identities, None, {
+        "n": 2**12, "hurst": 0.75, "seeds": 5, "levels": 4}),
+    "key-renewal": (run_key_renewal, None, {
+        "alpha": 1.5, "scale": 1.0, "dt": 0.05, "horizon": 1.05e4,
+        "ladder": (1e2, 10**2.5, 1e3, 10**3.5, 1e4), "band": (0.9, 1.1)}),
 }
 
+
 def run(spec: ExperimentSpec) -> dict:
-    """Execute the experiment, write artifacts, and return the report dict."""
+    """Execute the experiment, write artifacts, and return the report dict.
+
+    The report's `kind`, `model`, `params` (the defaults merged with the
+    spec's) and `seed` make a spec that replays the run.
+    """
     t0 = time.perf_counter()
-    runner = EXPERIMENT_KINDS[spec.kind]
-    params = dict(spec.params)
-    if spec.replicates is not None:
-        params.setdefault("seeds", spec.replicates)
-    if spec.kind == "fbm-selftest":
-        cells, artifacts = runner(params, spec.seed)
-    else:
-        cells, artifacts = runner(params, spec.seed, threads=spec.threads, model=spec.model)
+    runner, default_model, defaults = EXPERIMENT_KINDS[spec.kind]
+    params = {**defaults, **spec.params}
+    model = default_model if spec.model is None else spec.model
+    cells, artifacts = runner(params, spec.seed, model, spec.threads)
     passed = all(v["passed"] for c in cells for v in c["verdicts"])
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": spec.kind,
+        # as report.json holds them (tuples as lists), not aliasing the defaults
+        **json.loads(json.dumps({"model": model, "params": params})),
         "seed": spec.seed,
         "passed": bool(passed),
         "cells": cells,
@@ -668,6 +658,8 @@ def validate_report(report) -> list:
 
     need(report, "schema_version", str, "report")
     need(report, "kind", str, "report")
+    need(report, "model", (dict, type(None)), "report")
+    need(report, "params", dict, "report")
     need(report, "seed", int, "report")
     need(report, "passed", bool, "report")
     cells = need(report, "cells", list, "report") or []

@@ -5,10 +5,10 @@ amplitude Psi scales order sizes.  The centered integrated imbalance
 
     X_t = ∫_0^t sum_a Psi_s (x^a_{s/eps} - mu) ds
 
-is accumulated exactly: agents run through the vectorized engine of
-semi_markov in chunks, and their jump events are streamed into per-cell sums
+is accumulated exactly: all agents run through one stream of the vectorized
+engine of semi_markov, and their jump events are streamed into per-cell sums
 from which the piecewise-linear cumulative occupation integral follows at the
-grid points.  Neither agents nor their events are stored whole.
+grid points.  Neither agents' paths nor their events are stored whole.
 """
 from __future__ import annotations
 
@@ -80,7 +80,6 @@ class MarketConfig:
     seed: int
     n_grid: int = 2**13
     s0: float = 0.0
-    chunk_size: int = 2000
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -176,24 +175,21 @@ class _GridBinner:
         return np.concatenate([[0.0], np.cumsum(cells)]), rate
 
 
-def _aggregate_occupation(model, law, cfg: MarketConfig, replicate, stream_base,
-                          n_agents, stationary=True, initial_state=None):
+def _aggregate_occupation(cfg: MarketConfig, law, replicate, stream_base,
+                          stationary=True, initial_state=None):
     """Summed mood's cumulative occupation integral and rate at the grid points.
 
-    Agents run through the engine in chunks of cfg.chunk_size, chunk c on the
-    stream (seed, replicate, stream_base + c); time is on the agents' clock t/eps.
+    The cfg.n_agents agents of cfg.model run through the engine on the stream
+    (seed, replicate, stream_base); time is on the agents' clock t/eps.
     """
-    horizon_scaled = cfg.horizon / cfg.epsilon
     binner = _GridBinner(np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon)
-    labels = np.array(model.space.states)
-    x0 = 0.0
-    for chunk_index, start in enumerate(range(0, n_agents, cfg.chunk_size)):
-        rng = np.random.default_rng([cfg.seed, replicate, stream_base + chunk_index])
-        rounds = jump_rounds(model, min(cfg.chunk_size, n_agents - start), horizon_scaled,
-                             rng, law=law, stationary=stationary, initial_state=initial_state)
-        x0 += float(labels[next(rounds)].sum())
-        for _, t, src, dst in rounds:
-            binner.add(t, labels[dst] - labels[src])
+    labels = np.array(cfg.model.space.states)
+    rng = np.random.default_rng([cfg.seed, replicate, stream_base])
+    rounds = jump_rounds(cfg.model, cfg.n_agents, cfg.horizon / cfg.epsilon, rng, law=law,
+                         stationary=stationary, initial_state=initial_state)
+    x0 = float(labels[next(rounds)].sum())
+    for _, t, src, dst in rounds:
+        binner.add(t, labels[dst] - labels[src])
     return binner.occupation(x0)
 
 
@@ -224,6 +220,10 @@ def simulate_market(cfg: MarketConfig, replicate=0, stationary=True,
     sqrt(eps N) normalisation.  `initial_state` conditions every agent's
     xi_0; with stationary=False it is required and the first sojourn is fresh.
     """
+    return _market(cfg, replicate, stationary, initial_state, center_mu)
+
+
+def _market(cfg, replicate, stationary=True, initial_state=None, center_mu=None):
     law = stationary_law(cfg.model)
     mu = law.mu if center_mu is None else center_mu
     if cfg.model.alpha is not None:
@@ -234,8 +234,7 @@ def simulate_market(cfg: MarketConfig, replicate=0, stationary=True,
         scaling = float(np.sqrt(cfg.epsilon * cfg.n_agents))
     psi_rng = np.random.default_rng([cfg.seed, replicate, 0])
     psi = simulate_amplitude(cfg.amplitude, cfg.dt, cfg.n_grid, psi_rng)
-    cum, rate = _aggregate_occupation(cfg.model, law, cfg, replicate, 1, cfg.n_agents,
-                                      stationary=stationary, initial_state=initial_state)
+    cum, rate = _aggregate_occupation(cfg, law, replicate, 1, stationary, initial_state)
     return _assemble(cfg, psi, cum, rate, mu, scaling)
 
 
@@ -244,12 +243,8 @@ def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
     for law in cfg.model.sojourns.laws.values():
         if not isinstance(law, Exponential):
             raise ValueError("markov_market requires all-exponential sojourn laws")
-    law = stationary_law(cfg.model)
-    scaling = float(np.sqrt(cfg.epsilon * cfg.n_agents))
-    psi_rng = np.random.default_rng([cfg.seed, replicate, 0])
-    psi = simulate_amplitude(cfg.amplitude, cfg.dt, cfg.n_grid, psi_rng)
-    cum, rate = _aggregate_occupation(cfg.model, law, cfg, replicate, 1, cfg.n_agents)
-    return _assemble(cfg, psi, cum, rate, law.mu, scaling)
+    # exponential laws carry no tail index, so the sqrt(eps N) normalisation applies
+    return _market(cfg, replicate)
 
 
 def mixed_market(cfg: MarketConfig, rho, markov_model: SemiMarkovModel, replicate=0):
@@ -270,12 +265,10 @@ def mixed_market(cfg: MarketConfig, rho, markov_model: SemiMarkovModel, replicat
         return inert, None, combined
     law_y = stationary_law(markov_model)
     active_cfg = replace(cfg, model=markov_model, n_agents=n_active)
-    cum, rate = _aggregate_occupation(markov_model, law_y, active_cfg, replicate,
-                                      10_000, n_active)
+    cum, rate = _aggregate_occupation(active_cfg, law_y, replicate, 10_000)
     scaling = float(np.sqrt(cfg.n_agents * cfg.epsilon))
     psi = SamplePath(dt=cfg.dt, values=np.ones(cfg.n_grid))
-    active = _assemble(replace(active_cfg, model=markov_model), psi, cum, rate,
-                       law_y.mu, scaling)
+    active = _assemble(active_cfg, psi, cum, rate, law_y.mu, scaling)
     combined = SamplePath(dt=cfg.dt, values=inert.x_scaled + active.x_scaled)
     return inert, active, combined
 

@@ -9,6 +9,8 @@ from semimarket.experiments import (
     ASYMMETRIC_MODEL,
     EXAMPLE_A_MODEL,
     EXPERIMENT_KINDS,
+    LIMIT_MODEL,
+    MARKOV_MODEL,
     ExperimentSpec,
     alpha_variant,
     fit_slope,
@@ -17,6 +19,7 @@ from semimarket.experiments import (
     stationarity_check,
     validate_report,
 )
+from semimarket.semi_markov import validate_model
 
 
 # -- fit_slope ------------------------------------------------------------------
@@ -137,14 +140,78 @@ def test_shipped_limit_verification_config_loads():
     assert spec.model["states"] == [-1, 0, 1]
 
 
+def test_spec_rejects_unknown_params():
+    with pytest.raises(ValueError, match="n_agent") as err:
+        ExperimentSpec(kind="example-a", params={"n_agent": 10, "seeds": 2, "sed": 1})
+    assert "['n_agent', 'sed']" in str(err.value)
+    for bad in ({"params": ["n"]}, {"model": ["states"]}):
+        with pytest.raises(ValueError, match="must be an object"):
+            ExperimentSpec(kind="renewal-tables", **bad)
+    # every kind accepts its own defaults back
+    for kind, (_, _, defaults) in EXPERIMENT_KINDS.items():
+        ExperimentSpec(kind=kind, params=dict(defaults))
+
+
+def test_load_experiment_rejects_replicates(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "example-a", "replicates": 3}))
+    with pytest.raises(ValueError, match="replicates"):
+        load_experiment(spec_path)
+
+
+def test_spec_validates_the_model():
+    bad = json.loads(json.dumps(EXAMPLE_A_MODEL))
+    bad["transitions"][1] = [0.6, 0.0, 0.6]
+    with pytest.raises(ValueError, match="invalid model"):
+        ExperimentSpec(kind="renewal-tables", model=bad)
+    heavy_active = json.loads(json.dumps(EXAMPLE_A_MODEL))
+    heavy_active["sojourns"]["1"] = {"family": "pareto", "scale": 1.0, "alpha": 1.5}
+    with pytest.raises(ValueError, match="active exit"):
+        ExperimentSpec(kind="example-a", model=heavy_active)
+    with pytest.raises(ValueError, match="takes no model"):
+        ExperimentSpec(kind="key-renewal", model=EXAMPLE_A_MODEL)
+
+
+def test_shipped_models_validate():
+    shipped = [EXAMPLE_A_MODEL, ASYMMETRIC_MODEL, MARKOV_MODEL, LIMIT_MODEL]
+    shipped += [alpha_variant(ASYMMETRIC_MODEL, a) for a in (1.2, 1.4, 1.6, 1.8)]
+    for name in ("example_a", "asymmetric", "markov"):
+        with open(f"configs/{name}.json") as fh:
+            shipped.append(json.load(fh))
+    for model in shipped:
+        assert validate_model(model_from_dict(model)) == []
+        ExperimentSpec(kind="limit-verification", model=model)
+
+
+def test_report_replays_the_run(tmp_path):
+    params = {"n_agents": 40, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**10 + 1,
+              "seeds": 2, "min_lag": 4}
+    first = run(ExperimentSpec(kind="example-a", params=params, seed=13,
+                               out_dir=str(tmp_path)))
+    recorded = json.loads((tmp_path / "report.json").read_text())
+    assert recorded["model"] == EXAMPLE_A_MODEL
+    assert recorded["params"]["band"] == [0.43, 0.57]        # a default
+    assert recorded["params"]["n_agents"] == 40              # an override
+    replay = run(ExperimentSpec(kind=recorded["kind"], model=recorded["model"],
+                                params=recorded["params"], seed=recorded["seed"]))
+    assert replay["cells"] == first["cells"]
+    assert replay["params"] == recorded["params"]
+    # a kind without a model records null
+    assert run(ExperimentSpec(kind="integral-identities", params={"n": 2**8, "seeds": 1},
+                              seed=3))["model"] is None
+
+
 def test_validate_report_catches_problems():
-    good = {"schema_version": "1", "kind": "x", "seed": 1, "passed": True,
+    good = {"schema_version": "1", "kind": "x", "model": None, "params": {},
+            "seed": 1, "passed": True,
             "cells": [{"name": "c", "metrics": {}, "verdicts":
                        [{"name": "v", "passed": True, "band": None, "value": 1.0}]}],
             "provenance": {}}
     assert validate_report(good) == []
     bad = {"kind": "x"}
     assert any("schema_version" in p for p in validate_report(bad))
+    assert any("missing params" in p for p in validate_report(bad))
+    assert any("model has type" in p for p in validate_report(dict(good, model=[1])))
     good["cells"][0]["verdicts"][0] = {"name": "v", "passed": True}
     assert any("band" in p for p in validate_report(good))
 
@@ -251,25 +318,53 @@ def test_cli_rejects_unknown_spec_key(tmp_path, capsys):
     assert "budget_mb" in capsys.readouterr().err
 
 
+def test_cli_rejects_unknown_param(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "example-a", "params": {"n_agent": 10}}))
+    rc = cli_main(["example-a", "--config", str(cfg)])
+    assert rc == 2
+    assert "n_agent" in capsys.readouterr().err
+
+
+def test_cli_rejects_invalid_model(tmp_path, capsys):
+    bad = json.loads(json.dumps(EXAMPLE_A_MODEL))
+    bad["transitions"][1] = [0.6, 0.0, 0.6]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "renewal-tables", "model": bad}))
+    rc = cli_main(["renewal-tables", "--config", str(cfg)])
+    assert rc == 2
+    assert "invalid model" in capsys.readouterr().err
+
+
+def test_cli_threads_from_spec_unless_given(tmp_path, capsys):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"kind": "integral-identities", "threads": 2,
+                               "params": {"n": 2**8, "seeds": 1}}))
+    for argv, expected in (([], 2), (["--threads", "1"], 1)):
+        out = tmp_path / f"out{expected}"
+        rc = cli_main(["integral-identities", "--config", str(cfg), "--out", str(out)]
+                      + argv)
+        assert rc == 0
+        assert f"threads={expected}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["provenance"]["threads"] == expected
+
+
 def test_threads_market_sweep_matches_serial():
     # ProcessPool sweep must reproduce the serial per-seed results exactly
-    from semimarket.experiments import run_example_a
-
     params = {"n_agents": 60, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**10 + 1,
               "seeds": 3, "min_lag": 4, "band": (0.0, 1.0)}
-    serial, _ = run_example_a(dict(params), seed=11, threads=1)
-    parallel, _ = run_example_a(dict(params), seed=11, threads=2)
-    assert serial[0]["metrics"]["hurst_variogram"] == parallel[0]["metrics"]["hurst_variogram"]
+    serial, parallel = (run(ExperimentSpec(kind="example-a", params=dict(params), seed=11,
+                                           threads=threads)) for threads in (1, 2))
+    assert serial["cells"] == parallel["cells"]
 
 
 def test_limit_verification_sweep_cells():
-    from semimarket.experiments import run_limit_verification
-
-    cells, _ = run_limit_verification(
-        {"seeds": 2, "n_agents": 60, "horizon": 8.0, "n_grid": 2**10 + 1, "min_lag": 4,
-         "renewal_horizon": 120.0, "renewal_dt": 0.05, "slope_window": (5.0, 100.0),
-         "slope_band": (0.0, 3.0), "sweep_epsilon": (0.05, 0.02)},
-        seed=9)
+    report = run(ExperimentSpec(kind="limit-verification", seed=9, params={
+        "seeds": 2, "n_agents": 60, "horizon": 8.0, "n_grid": 2**10 + 1, "min_lag": 4,
+        "renewal_horizon": 120.0, "renewal_dt": 0.05, "slope_window": (5.0, 100.0),
+        "slope_band": (0.0, 3.0), "sweep_epsilon": (0.05, 0.02)}))
+    cells = report["cells"]
     names = [c["name"] for c in cells]
     assert "sweep_eps_0.05" in names and "sweep_eps_0.02" in names
     sweep = [c for c in cells if c["name"].startswith("sweep_")]

@@ -213,16 +213,6 @@ def test_determinism_bit_identical():
     assert not np.array_equal(a.x_raw, c.x_raw)
 
 
-def test_chunking_invariance():
-    # same (seed, replicate) but different chunk sizes changes stream layout;
-    # statistics must agree: compare chunked vs monolithic variance levels
-    cfg1 = small_cfg(EXAMPLE_A, n_agents=200, chunk_size=200)
-    cfg2 = small_cfg(EXAMPLE_A, n_agents=200, chunk_size=50)
-    v1 = np.var([simulate_market(cfg1, replicate=r).x_raw[-1] for r in range(50)])
-    v2 = np.var([simulate_market(cfg2, replicate=r).x_raw[-1] for r in range(50)])
-    assert v1 / v2 == pytest.approx(1.0, abs=0.5)
-
-
 # -- markov and mixed markets ------------------------------------------------------
 
 def test_markov_market_requires_exponential():
