@@ -42,7 +42,7 @@ from .fbm import (
     hurst_variogram,
     quadratic_variation,
     sample_fbm,
-    sample_mixed,
+    sample_fgn,
 )
 from .market import (
     AggregatePath,

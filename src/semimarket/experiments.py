@@ -197,18 +197,28 @@ def _pmap(fn, args_list, threads):
 
 # -- fbm-selftest -------------------------------------------------------------
 
+# standard normals drawn per chunk of covariance paths (2n per path): a cell's
+# peak memory, about 1.2 MB at n = 1024, does not grow with its paths
+_CHUNK_VALUES = 1 << 15
+
+
 def _fbm_cov_cell(hurst, n_paths, n, seed):
     rng = np.random.default_rng([seed, int(hurst * 1000)])
     picks = np.linspace(n // 5, n, 5).astype(int)
     dt = 1.0 / n
-    samples = np.empty((n_paths, picks.size))
-    for k in range(n_paths):
-        path = fbm_mod.sample_fbm(hurst, n, dt, rng)
-        samples[k] = path.values[picks]
+    rows = max(1, _CHUNK_VALUES // (2 * n))
+    gram = np.zeros((picks.size, picks.size))
+    for start in range(0, n_paths, rows):
+        k = min(rows, n_paths - start)
+        paths = np.zeros((k, n + 1))  # column 0 is B(0) = 0
+        np.cumsum(fbm_mod.sample_fgn(hurst, n, rng, size=k) * dt**hurst, axis=1,
+                  out=paths[:, 1:])
+        samples = paths[:, picks]
+        gram += samples.T @ samples
     t = picks * dt
     exact = 0.5 * (t[:, None] ** (2 * hurst) + t[None, :] ** (2 * hurst)
                    - np.abs(t[:, None] - t[None, :]) ** (2 * hurst))
-    emp = samples.T @ samples / n_paths
+    emp = gram / n_paths
     # SE of each covariance entry for Gaussian samples
     se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n_paths)
     dev = np.abs(emp - exact) / se

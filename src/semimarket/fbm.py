@@ -1,13 +1,17 @@
 """Fractional Brownian motion generation and Hurst estimation.
 
-The generator embeds the fractional-Gaussian-noise covariance in a circulant
-matrix (Davies-Harte), which is exact in law and O(n log n); a Cholesky
-fallback covers the rare embeddings with negative eigenvalues.  Two
+The generator embeds the fractional-Gaussian-noise covariance in a 2n-point
+circulant (Davies-Harte, Wood-Chan), exact in law and O(n log n).  Its
+spectrum depends only on (H, n), so it is computed once by a real FFT and
+cached; k paths are one (k, 2n) normal draw and one real inverse FFT over the
+rows.  A Cholesky fallback covers n < 16 and embeddings with negative
+eigenvalues.  Two
 independent log-log regression estimators (aggregated variance, variogram)
 serve as the verification instruments for the scaling-limit experiments.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +24,6 @@ __all__ = [
     "fgn_autocovariance",
     "sample_fgn",
     "sample_fbm",
-    "sample_mixed",
     "hurst_aggregated_variance",
     "hurst_variogram",
     "fit_line",
@@ -52,34 +55,44 @@ def fgn_autocovariance(hurst, lag):
     return 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
 
 
-def _fgn_cholesky(hurst, n, rng):
-    lags = np.arange(n)
-    row = fgn_autocovariance(hurst, lags)
-    cov = row[np.abs(lags[:, None] - lags[None, :])]
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
+@functools.lru_cache(maxsize=8)
+def _embedding_root(hurst, n):
+    """Read-only sqrt of the 2n circulant-embedding eigenvalues 0..n, or None.
+
+    The circulant is symmetric, so `rfft` gives its eigenvalues and the other
+    n - 1 repeat these; None means the embedding is not nonnegative definite.
+    """
+    row = fgn_autocovariance(hurst, np.arange(n + 1))
+    eig = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
+    if eig.min() < -1e-8:
+        return None
+    root = np.sqrt(np.clip(eig, 0.0, None))
+    root.flags.writeable = False
+    return root
 
 
-def sample_fgn(hurst, n, rng):
-    """n unit-variance fGn samples via circulant embedding; Cholesky fallback."""
+def sample_fgn(hurst, n, rng, size=None):
+    """Unit-variance fGn: shape (n,) for size None, (size, n) for an int.
+
+    Each row draws 2n standard normals (z0, z_n, then re/im pairs), so row r
+    equals the r-th of `size` single-path calls on the same stream.
+    """
     if n < 1:
         raise ValueError("need at least one increment")
-    if n < 16:
-        return _fgn_cholesky(hurst, n, rng)
-    row = fgn_autocovariance(hurst, np.arange(n + 1))
-    circ = np.concatenate([row, row[-2:0:-1]])  # length 2n
-    eig = np.fft.fft(circ).real
-    if eig.min() < -1e-8:
-        return _fgn_cholesky(hurst, n, rng)
-    eig = np.clip(eig, 0.0, None)
-    m = 2 * n
-    z = np.empty(m, dtype=complex)
-    z[0] = rng.standard_normal()
-    z[n] = rng.standard_normal()
-    v = rng.standard_normal((n - 1, 2))
-    z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
-    z[n + 1 :] = np.conj(z[1:n][::-1])
-    return (np.sqrt(m) * np.fft.ifft(np.sqrt(eig) * z).real)[:n]
+    k = 1 if size is None else size
+    root = _embedding_root(hurst, n) if n >= 16 else None
+    if root is None:
+        lags = np.arange(n)
+        chol = np.linalg.cholesky(fgn_autocovariance(hurst, np.abs(lags[:, None] - lags)))
+        rows = rng.standard_normal((k, n)) @ chol.T
+    else:
+        g = rng.standard_normal((k, 2 * n))
+        z = np.empty((k, n + 1), dtype=complex)
+        z[:, 0] = g[:, 0]
+        z[:, n] = g[:, 1]
+        z[:, 1:n] = g[:, 2:].view(complex) / np.sqrt(2.0)
+        rows = np.sqrt(2 * n) * np.fft.irfft(root * z, 2 * n, axis=1)[:, :n]
+    return rows[0] if size is None else rows
 
 
 def sample_fbm(hurst, n, dt, rng) -> SamplePath:
@@ -92,16 +105,6 @@ def sample_fbm(hurst, n, dt, rng) -> SamplePath:
         raise ValueError("need at least two increments")
     fgn = sample_fgn(hurst, n, rng) * dt**hurst
     return SamplePath(dt=dt, values=np.concatenate([[0.0], np.cumsum(fgn)]))
-
-
-def sample_mixed(hurst, delta, n, dt, rng) -> SamplePath:
-    """Mixed path B^H + delta * W from independent fractional and Wiener streams."""
-    r1, r2 = rng.spawn(2)
-    bh = sample_fbm(hurst, n, dt, r1)
-    if delta == 0.0:
-        return bh
-    w = sample_fbm(0.5, n, dt, r2)
-    return SamplePath(dt=dt, values=bh.values + delta * w.values)
 
 
 def fit_line(x, y):

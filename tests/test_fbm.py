@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,52 @@ from semimarket.fbm import (
     quadratic_variation,
     sample_fbm,
     sample_fgn,
-    sample_mixed,
 )
+from semimarket import experiments
+from semimarket import fbm as fbm_mod
 from semimarket.paths import SamplePath
+
+
+def sample_mixed(hurst, delta, n, dt, rng) -> SamplePath:
+    """Mixed path B^H + delta * W from independent fractional and Wiener streams."""
+    r1, r2 = rng.spawn(2)
+    bh = sample_fbm(hurst, n, dt, r1)
+    if delta == 0.0:
+        return bh
+    w = sample_fbm(0.5, n, dt, r2)
+    return SamplePath(dt=dt, values=bh.values + delta * w.values)
+
+
+def per_path_fgn(hurst, n, rng):
+    """Oracle: one path per call, eigenvalues recomputed, complex 2n-point ifft."""
+    if n < 16:
+        lags = np.arange(n)
+        cov = fgn_autocovariance(hurst, np.abs(lags[:, None] - lags[None, :]))
+        return np.linalg.cholesky(cov) @ rng.standard_normal(n)
+    row = fgn_autocovariance(hurst, np.arange(n + 1))
+    eig = np.clip(np.fft.fft(np.concatenate([row, row[-2:0:-1]])).real, 0.0, None)
+    m = 2 * n
+    z = np.empty(m, dtype=complex)
+    z[0] = rng.standard_normal()
+    z[n] = rng.standard_normal()
+    v = rng.standard_normal((n - 1, 2))
+    z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+    z[n + 1:] = np.conj(z[1:n][::-1])
+    return (np.sqrt(m) * np.fft.ifft(np.sqrt(eig) * z).real)[:n]
+
+
+def per_path_cov_cell(hurst, n_paths, n, seed):
+    """Oracle: fbm-selftest's covariance statistic from one sample_fbm per path."""
+    rng = np.random.default_rng([seed, int(hurst * 1000)])
+    picks = np.linspace(n // 5, n, 5).astype(int)
+    dt = 1.0 / n
+    samples = np.array([sample_fbm(hurst, n, dt, rng).values[picks] for _ in range(n_paths)])
+    t = picks * dt
+    exact = 0.5 * (t[:, None] ** (2 * hurst) + t[None, :] ** (2 * hurst)
+                   - np.abs(t[:, None] - t[None, :]) ** (2 * hurst))
+    emp = samples.T @ samples / n_paths
+    se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact**2) / n_paths)
+    return float((np.abs(emp - exact) / se).max())
 
 
 def test_fgn_autocovariance_values():
@@ -93,6 +138,57 @@ def test_fgn_small_n_cholesky_path():
     rng = np.random.default_rng(4)
     x = sample_fgn(0.8, 8, rng)
     assert x.shape == (8,)
+
+
+@pytest.mark.parametrize("n", [8, 16, 1024, 2**14])
+@pytest.mark.parametrize("hurst", [0.3, 0.5, 0.75, 0.9])
+def test_batched_fgn_matches_per_path_draws(hurst, n):
+    # row r of one size-k draw is the r-th of k per-path draws on the same stream
+    k = 3
+    rngs = [np.random.default_rng([17, n]) for _ in range(3)]
+    batched = sample_fgn(hurst, n, rngs[0], size=k)
+    oracle = np.array([per_path_fgn(hurst, n, rngs[1]) for _ in range(k)])
+    single = np.array([sample_fgn(hurst, n, rngs[2]) for _ in range(k)])
+    assert batched.shape == (k, n)
+    np.testing.assert_allclose(batched, oracle, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-14)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+def test_embedding_root_is_cached_and_read_only():
+    root = fbm_mod._embedding_root(0.75, 1024)
+    assert root is fbm_mod._embedding_root(0.75, 1024)
+    assert root.shape == (1025,)
+    with pytest.raises(ValueError):
+        root[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [16, 100, 1024])
+def test_chunked_cov_cell_matches_per_path_oracle(n):
+    # 300 paths leave a partial last chunk at every n
+    for hurst in (0.6, 0.75):
+        cell = experiments._fbm_cov_cell(hurst, 300, n, 7)
+        assert cell["metrics"]["worst_dev_se"] == pytest.approx(
+            per_path_cov_cell(hurst, 300, n, 7), rel=1e-12)
+
+
+def test_cov_cell_memory_does_not_grow_with_paths():
+    experiments._fbm_cov_cell(0.75, 400, 1024, 3)  # fill the spectrum and FFT caches
+
+    def peak(n_paths):
+        tracemalloc.start()
+        try:
+            experiments._fbm_cov_cell(0.75, n_paths, 1024, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    big, small = peak(4000), peak(400)
+    assert big < 4 * 2**20
+    # equal up to a few kB of interpreter noise; 5 picks per path kept for
+    # 3 600 more paths would add 144 kB
+    assert big <= small + 16 * 2**10
 
 
 def test_mixed_path_delta_zero_is_pure_fbm():
