@@ -13,9 +13,9 @@ from semimarket import (
     load_model,
     sample_stationary_path,
     stationary_law,
-    theorem_condition,
     validate_model,
 )
+from semimarket.semi_markov import theorem_condition_value
 
 for name in ("example_a", "asymmetric"):
     model = load_model(f"configs/{name}.json")
@@ -27,8 +27,8 @@ for name in ("example_a", "asymmetric"):
     print("eta:", np.round(law.eta, 4))
     print("expected inactive visits between returns to +1:",
           expected_visits_before_hit(model, 1, 1))
-    holds, report = theorem_condition(model)
-    print("drift condition holds:", holds, " product:", round(report["product"], 6))
+    holds, product, _, _ = theorem_condition_value(model, law)
+    print("drift condition holds:", bool(holds), " product:", round(product, 6))
     if holds:
         print("limit constant c^2 =", round(limit_constant_c2(model), 6),
               " Hurst:", model.hurst())
@@ -37,5 +37,6 @@ for name in ("example_a", "asymmetric"):
 model = load_model("configs/example_a.json")
 law = stationary_law(model)
 traj = sample_stationary_path(model, 20000.0, np.random.default_rng(7))
-occ = traj.occupation_times([-1, 0, 1]) / traj.horizon
+durations = np.diff(np.append(traj.jump_times, traj.horizon))
+occ = np.array([durations[traj.states == s].sum() for s in (-1, 0, 1)]) / traj.horizon
 print("occupation fractions over one long path:", np.round(occ, 4), " nu:", law.nu)

@@ -16,7 +16,6 @@ from .semi_markov import (
     Trajectory,
     expected_visits_before_hit,
     hurst_from_alpha,
-    integrate_trajectory,
     limit_constant_c2,
     sample_path,
     sample_stationary_path,
@@ -30,7 +29,6 @@ from .renewal import (
     covariance_gamma,
     first_passage,
     key_renewal_asymptote,
-    renewal_function,
     stationary_transition,
     tail_constant_Cj,
     variance_of_integral,
@@ -52,12 +50,10 @@ from .market import (
     mixed_market,
     simulate_amplitude,
     simulate_market,
-    theorem_condition,
 )
 from .integrals import (
     PartitionLadder,
     cross_variation,
-    goodness_moments,
     integration_by_parts_residual,
     self_integral_identity,
     stieltjes_integral,

@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from .distributions import ParetoLog, law_from_config
-from .semi_markov import SemiMarkovModel, SojournFamily, StateSpace, TransitionMatrix
+from .semi_markov import SemiMarkovModel, StateSpace, TransitionMatrix
 
 __all__ = ["model_from_dict", "load_model"]
 
@@ -61,12 +61,8 @@ def model_from_dict(cfg: dict) -> SemiMarkovModel:
             raise ValueError(f"bad edge key {edge!r}; expected 'i->j'") from None
         laws[(src, dst)] = build(dict(params), src)
 
-    model = SemiMarkovModel(
-        space=StateSpace(states),
-        chain=TransitionMatrix(transitions),
-        sojourns=SojournFamily(laws),
-        slowly_varying=slowly_varying,
-    )
+    model = SemiMarkovModel(space=StateSpace(states), chain=TransitionMatrix(transitions),
+                            sojourns=laws)
     if slowly_varying == "log":
         heavy = [laws[(0, j)] for j in states if isinstance(laws[(0, j)], ParetoLog)]
         if not heavy:

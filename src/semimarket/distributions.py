@@ -71,12 +71,8 @@ class SojournLaw:
     def ppf(self, u):
         raise NotImplementedError
 
-    def equilibrium_cdf(self, t):
-        """CDF of the residual-life law with density tail(t)/mean."""
-        t = np.asarray(t, dtype=float)
-        return 1.0 - self.integrated_tail(t) / self.mean
-
     def equilibrium_ppf(self, u):
+        """Quantile of the residual-life law with density tail(t)/mean."""
         u = np.asarray(u, dtype=float)
         targets = (1.0 - u) * self.mean
         hi = self._equilibrium_upper(np.min(targets))

@@ -128,6 +128,18 @@ class ExperimentSpec:
             problems = validate_model(model_from_dict(self.model))
             if problems:
                 raise ValueError(f"invalid model: {'; '.join(problems)}")
+        if self.kind == "mixed-market":
+            _check_rhos({**defaults, **self.params})
+
+
+def _check_rhos(p):
+    """mixed-market compares its first two rhos and needs active agents at each."""
+    rhos, n_agents = p["rhos"], int(p["n_agents"])
+    if not isinstance(rhos, (list, tuple)) or len(rhos) < 2:
+        raise ValueError(f"params.rhos needs at least two values, got {rhos!r}")
+    empty = [rho for rho in rhos if round(rho * n_agents) < 1]
+    if empty:
+        raise ValueError(f"params.rhos {empty} give no active agent at n_agents = {n_agents}")
 
 
 _SPEC_KEYS = ("kind", "model", "params", "seed", "out", "threads")
@@ -204,7 +216,8 @@ _CHUNK_VALUES = 1 << 15
 
 def _fbm_cov_cell(hurst, n_paths, n, seed):
     rng = np.random.default_rng([seed, int(hurst * 1000)])
-    picks = np.linspace(n // 5, n, 5).astype(int)
+    # t = 0 has zero variance, so every pick lies at index >= 1
+    picks = np.maximum(np.linspace(n // 5, n, 5).astype(int), 1)
     dt = 1.0 / n
     rows = max(1, _CHUNK_VALUES // (2 * n))
     gram = np.zeros((picks.size, picks.size))
@@ -428,6 +441,25 @@ def run_renewal_tables(p, seed, model, threads):
 
 # -- mixed market ----------------------------------------------------------------
 
+def _one_mixed_replicate(args):
+    """Quadratic variations of one mixed-market replicate.
+
+    Each rho's active block at the finest block, then the combined path (first
+    rho) and the inert block along the block ladder.
+    """
+    model_dict, p, seed, replicate = args
+    cfg = _market_config(model_dict, p, seed)
+    blocks = tuple(int(b) for b in p["qv_blocks"])
+    inert, actives = mkt.mixed_market(cfg, p["rhos"], model_from_dict(MARKOV_MODEL),
+                                      replicate=replicate)
+    qv_active = [fbm_mod.quadratic_variation(SamplePath(cfg.dt, active.x_scaled),
+                                             block=blocks[-1]) for active in actives]
+    combined = SamplePath(cfg.dt, inert.x_scaled + actives[0].x_scaled)
+    inert_path = SamplePath(cfg.dt, inert.x_scaled)
+    return (qv_active, [fbm_mod.quadratic_variation(combined, block=b) for b in blocks],
+            [fbm_mod.quadratic_variation(inert_path, block=b) for b in blocks])
+
+
 def run_mixed_market(p, seed, model, threads):
     markov_obj = model_from_dict(MARKOV_MODEL)
     blocks = tuple(int(b) for b in p["qv_blocks"])
@@ -437,21 +469,9 @@ def run_mixed_market(p, seed, model, threads):
     gamma_markov = rnw.covariance_gamma(markov_obj, mgrid)
     c2_sq = float(2.0 * np.trapezoid(gamma_markov.values, dx=mgrid.dt))
 
-    qv_active = {rho: [] for rho in p["rhos"]}
-    qv_combined_ladder = []
-    qv_inert_ladder = []
-    cfg = _market_config(model, p, seed)
-    for rep in range(int(p["seeds"])):
-        for rho in p["rhos"]:
-            inert, active, combined = mkt.mixed_market(cfg, rho, markov_obj, replicate=rep)
-            qv_active[rho].append(fbm_mod.quadratic_variation(
-                SamplePath(cfg.dt, active.x_scaled), block=blocks[-1]))
-            if rho == p["rhos"][0]:
-                qv_combined_ladder.append(
-                    [fbm_mod.quadratic_variation(combined, block=b) for b in blocks])
-                qv_inert_ladder.append(
-                    [fbm_mod.quadratic_variation(SamplePath(cfg.dt, inert.x_scaled), block=b)
-                     for b in blocks])
+    args = [(model, p, seed, rep) for rep in range(int(p["seeds"]))]
+    qv_active, qv_combined_ladder, qv_inert_ladder = zip(
+        *_pmap(_one_mixed_replicate, args, threads))
     comb = np.mean(qv_combined_ladder, axis=0)
     inrt = np.mean(qv_inert_ladder, axis=0)
     rho0 = p["rhos"][0]
@@ -461,7 +481,8 @@ def run_mixed_market(p, seed, model, threads):
     # already vanished and only the Wiener level remains
     stability = float(comb[-3:].max() / comb[-3:].min())
     inert_decay = float(inrt[-1] / inrt[0])
-    act_means = {rho: float(np.mean(v)) for rho, v in qv_active.items()}
+    act_means = {rho: float(np.mean([qv[k] for qv in qv_active]))
+                 for k, rho in enumerate(p["rhos"])}
     doubling = act_means[p["rhos"][1]] / act_means[p["rhos"][0]] \
         * (p["rhos"][0] / p["rhos"][1]) * 2.0
     verdicts = [

@@ -19,7 +19,6 @@ import numpy as np
 from .paths import SamplePath
 
 __all__ = [
-    "SamplePath",
     "HurstEstimate",
     "fgn_autocovariance",
     "sample_fgn",

@@ -4,8 +4,8 @@ All integrals are limits (in probability) of sums phi_{tau_i} (Z_{tau_{i+1}} -
 Z_{tau_i}) over refining partitions; only the left-endpoint convention is
 implemented.  The module provides the refinement ladder, the integration-by-
 parts construction against fractional Brownian motion, the self-integral /
-quadratic-variation identity, cross variation with its Cauchy-Schwarz bound,
-and the moment check that makes an amplitude sequence "good".
+quadratic-variation identity, and cross variation with its Cauchy-Schwarz
+bound.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import AmplitudeModel, simulate_amplitude
 from .paths import SamplePath
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "integration_by_parts_residual",
     "self_integral_identity",
     "cross_variation",
-    "goodness_moments",
 ]
 
 
@@ -140,33 +138,3 @@ def cross_variation(z: SamplePath, psi: SamplePath, ladder: PartitionLadder):
             "cauchy_schwarz_ok": cross**2 <= qv_z * qv_p * (1.0 + 1e-12),
         })
     return out
-
-
-def goodness_moments(amp: AmplitudeModel, horizon, n_paths, rng, n_steps=1024):
-    """Monte Carlo estimates of E[M,M]_T and E|A|_T for the amplitude decomposition.
-
-    For the geometric diffusion, M collects the vol term ([M,M]_T = ∫ vol^2
-    Psi^2 dt) and A the drift term (|A|_T = ∫ |drift| Psi dt); both finite
-    means certify the sequence as good.  A constant amplitude gives (0, 0).
-    """
-    dt = horizon / n_steps
-    if amp.kind == "constant":
-        return {"qv_mean": 0.0, "qv_stderr": 0.0, "tv_mean": 0.0, "tv_stderr": 0.0,
-                "qv_reference": 0.0}
-    qv, tv = np.empty(n_paths), np.empty(n_paths)
-    for k in range(n_paths):
-        path = simulate_amplitude(amp, dt, n_steps + 1, rng)
-        qv[k] = np.trapezoid(amp.vol**2 * path.values**2, dx=dt)
-        tv[k] = np.trapezoid(np.abs(amp.drift) * path.values, dx=dt)
-    rate = 2.0 * amp.drift + amp.vol**2
-    if abs(rate) > 1e-12:
-        qv_ref = amp.vol**2 * amp.initial**2 * (np.expm1(rate * horizon)) / rate
-    else:
-        qv_ref = amp.vol**2 * amp.initial**2 * horizon
-    return {
-        "qv_mean": float(qv.mean()),
-        "qv_stderr": float(qv.std(ddof=1) / np.sqrt(n_paths)),
-        "tv_mean": float(tv.mean()),
-        "tv_stderr": float(tv.std(ddof=1) / np.sqrt(n_paths)),
-        "qv_reference": float(qv_ref),
-    }

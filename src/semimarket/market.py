@@ -8,7 +8,9 @@ amplitude Psi scales order sizes.  The centered integrated imbalance
 is accumulated exactly: all agents run through one stream of the vectorized
 engine of semi_markov, and their jump events are streamed into per-cell sums
 from which the piecewise-linear cumulative occupation integral follows at the
-grid points.  Neither agents' paths nor their events are stored whole.
+grid points.  Neither agents' paths nor their events are stored whole.  Every
+market starts its agents in equilibrium and is fixed by (cfg, replicate); the
+mixed market shares one inert block among its active blocks.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ import numpy as np
 
 from .distributions import Exponential
 from .paths import SamplePath
-from .semi_markov import SemiMarkovModel, jump_rounds, stationary_law, \
-    theorem_condition_value
+from .semi_markov import SemiMarkovModel, jump_rounds, stationary_law
 
 __all__ = [
     "AmplitudeModel",
@@ -29,7 +30,6 @@ __all__ = [
     "simulate_market",
     "markov_market",
     "mixed_market",
-    "theorem_condition",
 ]
 
 
@@ -175,8 +175,7 @@ class _GridBinner:
         return np.concatenate([[0.0], np.cumsum(cells)]), rate
 
 
-def _aggregate_occupation(cfg: MarketConfig, law, replicate, stream_base,
-                          stationary=True, initial_state=None):
+def _aggregate_occupation(cfg: MarketConfig, law, replicate, stream_base):
     """Summed mood's cumulative occupation integral and rate at the grid points.
 
     The cfg.n_agents agents of cfg.model run through the engine on the stream
@@ -185,8 +184,7 @@ def _aggregate_occupation(cfg: MarketConfig, law, replicate, stream_base,
     binner = _GridBinner(np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon)
     labels = np.array(cfg.model.space.states)
     rng = np.random.default_rng([cfg.seed, replicate, stream_base])
-    rounds = jump_rounds(cfg.model, cfg.n_agents, cfg.horizon / cfg.epsilon, rng, law=law,
-                         stationary=stationary, initial_state=initial_state)
+    rounds = jump_rounds(cfg.model, cfg.n_agents, cfg.horizon / cfg.epsilon, rng, law=law)
     x0 = float(labels[next(rounds)].sum())
     for _, t, src, dst in rounds:
         binner.add(t, labels[dst] - labels[src])
@@ -211,21 +209,18 @@ def _assemble(cfg, psi, cum, rate, mu, scaling):
     )
 
 
-def simulate_market(cfg: MarketConfig, replicate=0, stationary=True,
-                    initial_state=None, center_mu=None) -> AggregatePath:
+def simulate_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
     """Aggregate path of N inert agents under the fractional scaling.
 
     x_scaled = x_raw / (eps^(1-H) sqrt(N L(1/eps))) with H = (3-alpha)/2.
     Degenerate light-tailed models (diagnostics only) fall back to the
-    sqrt(eps N) normalisation.  `initial_state` conditions every agent's
-    xi_0; with stationary=False it is required and the first sojourn is fresh.
+    sqrt(eps N) normalisation.
     """
-    return _market(cfg, replicate, stationary, initial_state, center_mu)
+    return _market(cfg, replicate)
 
 
-def _market(cfg, replicate, stationary=True, initial_state=None, center_mu=None):
+def _market(cfg, replicate):
     law = stationary_law(cfg.model)
-    mu = law.mu if center_mu is None else center_mu
     if cfg.model.alpha is not None:
         h = cfg.model.hurst()
         l_eps = float(cfg.model.tail_scale(1.0 / cfg.epsilon))
@@ -234,52 +229,43 @@ def _market(cfg, replicate, stationary=True, initial_state=None, center_mu=None)
         scaling = float(np.sqrt(cfg.epsilon * cfg.n_agents))
     psi_rng = np.random.default_rng([cfg.seed, replicate, 0])
     psi = simulate_amplitude(cfg.amplitude, cfg.dt, cfg.n_grid, psi_rng)
-    cum, rate = _aggregate_occupation(cfg, law, replicate, 1, stationary, initial_state)
-    return _assemble(cfg, psi, cum, rate, mu, scaling)
+    cum, rate = _aggregate_occupation(cfg, law, replicate, 1)
+    return _assemble(cfg, psi, cum, rate, law.mu, scaling)
 
 
 def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
     """Aggregate path of exponential (Markov) agents under the 1/sqrt(eps N) scaling."""
-    for law in cfg.model.sojourns.laws.values():
+    for law in cfg.model.sojourns.values():
         if not isinstance(law, Exponential):
             raise ValueError("markov_market requires all-exponential sojourn laws")
     # exponential laws carry no tail index, so the sqrt(eps N) normalisation applies
     return _market(cfg, replicate)
 
 
-def mixed_market(cfg: MarketConfig, rho, markov_model: SemiMarkovModel, replicate=0):
-    """Inert block plus rho*N active Markov agents, each under its own scaling.
+def mixed_market(cfg: MarketConfig, rhos, markov_model: SemiMarkovModel, replicate=0):
+    """One inert block and, for each rho, rho*N active Markov agents.
 
-    Requires Psi = 1.  Returns (inert AggregatePath, active AggregatePath,
-    combined SamplePath); the active block is scaled by 1/sqrt(N eps) with N
-    the inert count, so the combined path approximates c1 B^H + c2 sqrt(rho) W.
+    Requires Psi = 1.  Returns (inert AggregatePath, [active AggregatePath per
+    rho]); the inert block is simulated once for all rho, and a rho with no
+    active agent gets None.  Each active block is scaled by 1/sqrt(N eps) with
+    N the inert count, so inert.x_scaled + active.x_scaled approximates
+    c1 B^H + c2 sqrt(rho) W.
     """
     if not cfg.amplitude.is_unit:
         raise ValueError("mixed market is defined for unit amplitude Psi = 1")
-    if rho < 0.0:
+    if any(rho < 0.0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
     inert = simulate_market(cfg, replicate=replicate)
-    n_active = int(round(rho * cfg.n_agents))
-    if n_active == 0:
-        combined = SamplePath(dt=cfg.dt, values=inert.x_scaled)
-        return inert, None, combined
     law_y = stationary_law(markov_model)
-    active_cfg = replace(cfg, model=markov_model, n_agents=n_active)
-    cum, rate = _aggregate_occupation(active_cfg, law_y, replicate, 10_000)
     scaling = float(np.sqrt(cfg.n_agents * cfg.epsilon))
     psi = SamplePath(dt=cfg.dt, values=np.ones(cfg.n_grid))
-    active = _assemble(active_cfg, psi, cum, rate, law_y.mu, scaling)
-    combined = SamplePath(dt=cfg.dt, values=inert.x_scaled + active.x_scaled)
-    return inert, active, combined
-
-
-def theorem_condition(model: SemiMarkovModel):
-    """Evaluate the positivity condition mu sum_k k m_k/eta_k^2 > 0 with a factor report."""
-    holds, product, mu, s = theorem_condition_value(model)
-    report = {
-        "mu": mu,
-        "sum_k_mk_over_eta2": s,
-        "product": product,
-        "holds": bool(holds),
-    }
-    return report["holds"], report
+    actives = []
+    for rho in rhos:
+        n_active = int(round(rho * cfg.n_agents))
+        if n_active == 0:
+            actives.append(None)
+            continue
+        active_cfg = replace(cfg, model=markov_model, n_agents=n_active)
+        cum, rate = _aggregate_occupation(active_cfg, law_y, replicate, 10_000)
+        actives.append(_assemble(active_cfg, psi, cum, rate, law_y.mu, scaling))
+    return inert, actives

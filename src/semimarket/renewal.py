@@ -1,8 +1,8 @@
 """Discretized Markov-renewal solver.
 
-Computes first-passage laws, renewal functions, stationary transition
-probabilities, the covariance function of the stationary mood process and its
-predicted heavy-tail asymptotics, and the heavy-tailed key renewal check.
+Computes first-passage laws, stationary transition probabilities, the
+covariance function of the stationary mood process and its predicted
+heavy-tail asymptotics, and the heavy-tailed key renewal check.
 Stationary transitions and the covariance are two reductions of one routine
 that forms the equilibrium equations: the equations are linear in the start
 state, so weighted start states are summed first and each target state and
@@ -34,7 +34,6 @@ __all__ = [
     "KernelGrid",
     "kernel_on_grid",
     "first_passage",
-    "renewal_function",
     "stationary_first_passage",
     "stationary_transition",
     "tail_constant_Cj",
@@ -265,7 +264,7 @@ def solve_volterra(forcing, dk, block=128):
     return x
 
 
-# -- first passage, renewal functions, stationary transition ----------------
+# -- first passage and stationary transition ---------------------------------
 
 def first_passage(model: SemiMarkovModel, grid: Grid, target, kernel: KernelGrid | None = None):
     """First-passage distributions F(i, target, .) for every start state i.
@@ -294,12 +293,6 @@ def _renewal_solve(forcing, f_values):
     df = np.zeros(f_values.size)
     df[1:] = np.diff(f_values)
     return solve_volterra(forcing[None, :], df[None, None, :])[0]
-
-
-def renewal_function(f_jj: GridFunction) -> GridFunction:
-    """R(t) = expected entrances in [0,t] counting the one at 0; solves R = 1 + F*R."""
-    r = _renewal_solve(np.ones(f_jj.grid.n_points), f_jj.values)
-    return GridFunction(f_jj.grid, r, kind="plain")
 
 
 def _stationary_pieces(model, law: StationaryLaw, grid: Grid):

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SojournLaw
-from .paths import SamplePath
 
 __all__ = [
     "StateSpace",
     "TransitionMatrix",
-    "SojournFamily",
     "SemiMarkovModel",
     "StationaryLaw",
     "Trajectory",
@@ -28,7 +26,6 @@ __all__ = [
     "hurst_from_alpha",
     "sample_path",
     "sample_stationary_path",
-    "integrate_trajectory",
     "jump_rounds",
     "states_at_times",
 ]
@@ -98,22 +95,13 @@ class TransitionMatrix:
 
 
 @dataclass(frozen=True)
-class SojournFamily:
-    """Map (i, j) state labels -> sojourn law of the holding time in i before jumping to j."""
-
-    laws: dict
-
-    def law(self, i, j):
-        return self.laws[(i, j)]
-
-
-@dataclass(frozen=True)
 class SemiMarkovModel:
+    """sojourns maps (i, j) state labels to the law of the holding time in i before a jump to j."""
+
     space: StateSpace
     chain: TransitionMatrix
-    sojourns: SojournFamily
+    sojourns: dict
     alpha: float | None = None
-    slowly_varying: str = "constant"
 
     def __post_init__(self):
         n = self.space.size
@@ -128,11 +116,10 @@ class SemiMarkovModel:
             raise ValueError(f"tail index must satisfy 1 < alpha < 2, got {self.alpha}")
 
     def law(self, i, j) -> SojournLaw:
-        return self.sojourns.law(i, j)
+        return self.sojourns[(i, j)]
 
     def _zero_exit_laws(self):
-        return [self.sojourns.laws[(0, j)] for j in self.space.states
-                if (0, j) in self.sojourns.laws]
+        return [self.sojourns[(0, j)] for j in self.space.states if (0, j) in self.sojourns]
 
     def hurst(self):
         if self.alpha is None:
@@ -169,9 +156,6 @@ class StationaryLaw:
     eta: np.ndarray
     mu: float
 
-    def of_state(self, vec, label):
-        return vec[self.states.index(label)]
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -191,22 +175,6 @@ class Trajectory:
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", st)
 
-    def occupation_times(self, labels):
-        """Total time spent in each label over [0, horizon]."""
-        ends = np.append(self.jump_times[1:], self.horizon)
-        ends = np.minimum(ends, self.horizon)
-        durations = np.clip(ends - np.minimum(self.jump_times, self.horizon), 0.0, None)
-        return np.array([durations[self.states == s].sum() for s in labels])
-
-    def integral_at(self, t):
-        """∫_0^t x_s ds, exact (closed form over segments)."""
-        t = np.asarray(t, dtype=float)
-        seg_end = np.append(self.jump_times[1:], max(self.horizon, self.jump_times[-1]))
-        seg_int = self.states * (seg_end - self.jump_times)
-        cum = np.concatenate([[0.0], np.cumsum(seg_int)])
-        idx = np.clip(np.searchsorted(self.jump_times, t, side="right") - 1, 0, self.states.size - 1)
-        return cum[idx] + self.states[idx] * (t - self.jump_times[idx])
-
 
 # -- validation and equilibrium --------------------------------------------
 
@@ -219,10 +187,10 @@ def validate_model(model: SemiMarkovModel):
             if model.chain.p[model.space.index(i), model.space.index(j)] <= 0.0:
                 continue
             key = (i, j)
-            if key not in model.sojourns.laws:
+            if key not in model.sojourns:
                 out.append(f"missing sojourn law for transition {i} -> {j}")
                 continue
-            law = model.sojourns.laws[key]
+            law = model.sojourns[key]
             if not np.isfinite(law.mean) or law.mean <= 0.0:
                 out.append(f"sojourn law for {i} -> {j} has non-finite mean")
             if i != 0 and law.is_heavy:
@@ -487,29 +455,3 @@ def states_at_times(model: SemiMarkovModel, times, n_replicates, rng,
         later = columns >= np.searchsorted(sorted_times, t)[:, None]
         out[agents] = np.where(later, labels[dst][:, None], out[agents])
     return out[:, np.argsort(order)]
-
-
-def integrate_trajectory(traj: Trajectory, grid_times=None, weight: SamplePath | None = None):
-    """Integrated path t -> ∫_0^t w_s x_s ds on a uniform grid.
-
-    Without a weight the integral is exact (closed form over segments).  With a
-    weight the trajectory is integrated exactly inside each grid cell and the
-    weight enters by trapezoid quadrature on its own grid.
-    """
-    if weight is not None:
-        if weight.horizon + 1e-12 < traj.horizon:
-            raise ValueError("weight grid does not cover the trajectory horizon")
-        times = weight.times
-    else:
-        if grid_times is None:
-            raise ValueError("provide grid_times when no weight path is given")
-        times = np.asarray(grid_times, dtype=float)
-        if times.max() > traj.horizon + 1e-12:
-            raise ValueError("grid extends beyond the trajectory horizon")
-    base = traj.integral_at(np.clip(times, 0.0, traj.horizon))
-    if weight is None:
-        return SamplePath(dt=float(times[1] - times[0]), values=base)
-    cell = np.diff(base)
-    w_mid = 0.5 * (weight.values[:-1] + weight.values[1:])
-    out = np.concatenate([[0.0], np.cumsum(w_mid * cell)])
-    return SamplePath(dt=weight.dt, values=out)

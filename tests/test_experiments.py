@@ -5,6 +5,7 @@ import pytest
 
 from semimarket.cli import main as cli_main
 from semimarket.config import load_model, model_from_dict
+from semimarket.distributions import Pareto
 from semimarket.experiments import (
     ASYMMETRIC_MODEL,
     EXAMPLE_A_MODEL,
@@ -53,7 +54,7 @@ def test_model_from_dict_roundtrip():
     model = model_from_dict(EXAMPLE_A_MODEL)
     assert model.space.states == (-1, 0, 1)
     assert model.alpha == pytest.approx(1.5)
-    assert model.slowly_varying == "constant"
+    assert type(model.law(0, 1)) is Pareto  # no "slowly_varying": a pure power tail
 
 
 def test_model_config_edge_override():
@@ -398,3 +399,50 @@ def test_market_kinds_simulate_each_replicate_once(tmp_path, monkeypatch):
         agg.path(field).to_csv(tmp_path / "fresh.csv")
         written = tmp_path / "example-a" / f"example_a_{field}.csv"
         assert written.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cov_n", [1, 4])
+def test_fbm_cov_cell_finite_at_small_n(cov_n):
+    # below n = 5 the first pick used to sit at t = 0, where the SE is 0
+    from semimarket.experiments import _fbm_cov_cell
+
+    cell = _fbm_cov_cell(0.75, 20, cov_n, 1)
+    assert np.isfinite(cell["metrics"]["worst_dev_se"])
+
+
+_BAD_RHOS = ({"rhos": [0.5]}, {"rhos": [0.01, 0.5], "n_agents": 20})
+
+
+@pytest.mark.parametrize("params", _BAD_RHOS)
+def test_mixed_market_spec_rejects_unusable_rhos(params):
+    with pytest.raises(ValueError, match="rhos"):
+        ExperimentSpec(kind="mixed-market", params=params)
+
+
+@pytest.mark.parametrize("params", _BAD_RHOS)
+def test_cli_rejects_unusable_rhos(tmp_path, capsys, params):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "mixed-market", "params": params}))
+    rc = cli_main(["mixed-market", "--config", str(cfg)])
+    assert rc == 2
+    assert "rhos" in capsys.readouterr().err
+
+
+def test_mixed_market_simulates_the_inert_block_once_per_replicate(monkeypatch):
+    from semimarket import market
+
+    calls = []
+
+    def counted(cfg, replicate=0, _fn=market.simulate_market):
+        calls.append(replicate)
+        return _fn(cfg, replicate=replicate)
+
+    params = {"epsilon": 1e-2, "n_agents": 40, "horizon": 2.0, "n_grid": 2**8 + 1,
+              "seeds": 2, "qv_blocks": (16, 8, 4, 2), "c2_horizon": 10.0, "c2_dt": 0.05}
+    monkeypatch.setattr(market, "simulate_market", counted)
+    serial = run(ExperimentSpec(kind="mixed-market", params=dict(params), seed=5))
+    assert sorted(calls) == [0, 1]
+    monkeypatch.undo()
+    parallel = run(ExperimentSpec(kind="mixed-market", params=dict(params), seed=5,
+                                  threads=2))
+    assert serial["cells"] == parallel["cells"]

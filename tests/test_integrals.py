@@ -7,13 +7,14 @@ from semimarket.fbm import sample_fbm
 from semimarket.integrals import (
     PartitionLadder,
     cross_variation,
-    goodness_moments,
     integration_by_parts_residual,
     self_integral_identity,
     stieltjes_integral,
 )
 from semimarket.market import AmplitudeModel, simulate_amplitude
 from semimarket.paths import SamplePath
+
+from oracles import goodness_moments
 
 
 def _ladder(n=1024, levels=5):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,10 @@ from semimarket.market import (
     mixed_market,
     simulate_amplitude,
     simulate_market,
-    theorem_condition,
 )
-from semimarket.semi_markov import integrate_trajectory, sample_stationary_path, \
-    stationary_law
+from semimarket.semi_markov import jump_rounds, sample_stationary_path, stationary_law
+
+from oracles import integrate_trajectory, theorem_condition
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -45,6 +46,11 @@ def small_cfg(model_dict, **kw):
                 amplitude=UNIT, horizon=8.0, seed=1234, n_grid=257)
     args.update(kw)
     return MarketConfig(**args)
+
+
+def _start_agents(monkeypatch, **start):
+    """Let the markets start their agents with jump_rounds' start options."""
+    monkeypatch.setattr(market, "jump_rounds", functools.partial(jump_rounds, **start))
 
 
 # -- amplitude ----------------------------------------------------------------
@@ -79,8 +85,8 @@ def test_amplitude_positive():
 
 # -- aggregate path basics -------------------------------------------------------
 
-def test_frozen_agent_integrates_time():
-    # one agent pinned in state 1 with mu forced to 0: X(t) = t exactly
+def test_frozen_agent_integrates_time(monkeypatch):
+    # one agent pinned in state 1: the uncentred integral (log_price, s0 = 0) is t exactly
     frozen = {
         "states": [0, 1],
         "transitions": [[0.0, 1.0], [1.0, 0.0]],
@@ -90,8 +96,9 @@ def test_frozen_agent_integrates_time():
         },
     }
     cfg = small_cfg(frozen, n_agents=1, epsilon=1.0, horizon=4.0, n_grid=41)
-    agg = simulate_market(cfg, stationary=False, initial_state=1, center_mu=0.0)
-    np.testing.assert_allclose(agg.x_raw, agg.times, atol=1e-12)
+    _start_agents(monkeypatch, stationary=False, initial_state=1)
+    agg = simulate_market(cfg)
+    np.testing.assert_allclose(agg.log_price, agg.times, atol=1e-12)
     np.testing.assert_allclose(agg.y, 1.0)
 
 
@@ -143,13 +150,15 @@ def test_one_agent_market_equals_its_trajectory_integral():
     # dual route: the binned market integral of one agent against the exact
     # closed form on the trajectory sample_stationary_path draws from the same stream
     cfg = small_cfg(EXAMPLE_A, n_agents=1, epsilon=0.5, horizon=200.0, n_grid=1001)
-    agg = simulate_market(cfg, replicate=2, center_mu=0.0)
+    agg = simulate_market(cfg, replicate=2)
     traj = sample_stationary_path(cfg.model, cfg.horizon / cfg.epsilon,
                                   np.random.default_rng([cfg.seed, 2, 1]))
     assert traj.states.size > 100
     grid = np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon
     exact = cfg.epsilon * integrate_trajectory(traj, grid_times=grid).values
-    np.testing.assert_allclose(agg.x_raw, exact, rtol=0.0, atol=1e-12 * np.abs(exact).max())
+    # log_price (s0 = 0) holds the uncentred integral
+    np.testing.assert_allclose(agg.log_price, exact, rtol=0.0,
+                               atol=1e-12 * np.abs(exact).max())
     held = traj.states[np.searchsorted(traj.jump_times, grid, side="right") - 1]
     np.testing.assert_array_equal(agg.y, held)
 
@@ -182,12 +191,13 @@ def test_binner_matches_sorted_aggregation_oracle(monkeypatch):
     np.testing.assert_allclose(cum, ref_cum, rtol=0.0, atol=1e-12 * np.abs(ref_cum).max())
 
 
-def test_initial_state_conditions_the_start():
+def test_initial_state_conditions_the_start(monkeypatch):
     cfg = small_cfg(EXAMPLE_A, n_agents=1)
+    _start_agents(monkeypatch, initial_state=1)
     for rep in range(20):
-        assert simulate_market(cfg, replicate=rep, initial_state=1).y[0] == 1.0
+        assert simulate_market(cfg, replicate=rep).y[0] == 1.0
     with pytest.raises(ValueError, match="initial_state"):
-        simulate_market(cfg, stationary=False)
+        next(jump_rounds(cfg.model, 1, 1.0, np.random.default_rng(0), stationary=False))
 
 
 def test_market_memory_does_not_grow_with_the_event_count():
@@ -229,23 +239,29 @@ def test_markov_market_scaling():
 
 def test_mixed_market_rho_zero_reduces_to_inert():
     cfg = small_cfg(ASYM)
-    inert, active, combined = mixed_market(cfg, 0.0, model_from_dict(MARKOV))
-    assert active is None
+    inert, actives = mixed_market(cfg, [0.0], model_from_dict(MARKOV))
+    assert actives == [None]
     ref = simulate_market(cfg)
-    np.testing.assert_array_equal(combined.values, ref.x_scaled)
+    np.testing.assert_array_equal(inert.x_scaled, ref.x_scaled)
 
 
 def test_mixed_market_requires_unit_amplitude():
     cfg = small_cfg(ASYM, amplitude=AmplitudeModel(kind="constant", level=2.0))
     with pytest.raises(ValueError, match="unit amplitude"):
-        mixed_market(cfg, 0.5, model_from_dict(MARKOV))
+        mixed_market(cfg, [0.5], model_from_dict(MARKOV))
 
 
 def test_mixed_market_combined_is_sum():
+    # one inert block serves every rho, so inert + active adds a plain inert
+    # market to an active block that does not depend on the other rhos
     cfg = small_cfg(ASYM, n_agents=100)
-    inert, active, combined = mixed_market(cfg, 0.5, model_from_dict(MARKOV))
-    np.testing.assert_allclose(combined.values, inert.x_scaled + active.x_scaled)
-    assert active.scaling == pytest.approx(np.sqrt(cfg.n_agents * cfg.epsilon))
+    markov = model_from_dict(MARKOV)
+    inert, (half, full) = mixed_market(cfg, [0.5, 1.0], markov)
+    np.testing.assert_array_equal(inert.x_scaled, simulate_market(cfg).x_scaled)
+    _, (alone,) = mixed_market(cfg, [0.5], markov)
+    np.testing.assert_array_equal(half.x_scaled, alone.x_scaled)
+    for active in (half, full):
+        assert active.scaling == pytest.approx(np.sqrt(cfg.n_agents * cfg.epsilon))
 
 
 def test_theorem_condition_reports():

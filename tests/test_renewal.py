@@ -18,7 +18,6 @@ from semimarket.renewal import (
     first_passage,
     kernel_on_grid,
     key_renewal_asymptote,
-    renewal_function,
     solve_volterra,
     stationary_first_passage,
     stationary_transition,
@@ -27,6 +26,8 @@ from semimarket.renewal import (
     write_grid_csv,
 )
 from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law
+
+from oracles import of_state, renewal_function
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -340,7 +341,7 @@ def test_elementary_renewal_slope(example_a):
     g = Grid.for_horizon(3000.0, 0.05)
     fp = first_passage(example_a, g, 1)
     r = renewal_function(fp[1])
-    eta = law.of_state(law.eta, 1)
+    eta = of_state(law, law.eta, 1)
     assert r.at(3000.0) / 3000.0 == pytest.approx(1.0 / eta, rel=0.05)
 
 
@@ -495,7 +496,7 @@ def test_stationary_transition_decay_constant(asym):
     ps = stationary_transition(asym, g, law=law)
     c1 = tail_constant_Cj(asym, 1, law=law)
     t_q = 2500.0
-    dev = ps[(-1, 1)].at(t_q) - law.of_state(law.nu, 1)
+    dev = ps[(-1, 1)].at(t_q) - of_state(law, law.nu, 1)
     predicted = c1 / 0.5 * t_q**-0.5
     assert dev == pytest.approx(predicted, rel=0.15)
 
@@ -535,7 +536,7 @@ def test_gamma_example_a_closed_form(example_a):
     g = Grid.for_horizon(10.0, 0.005)
     law = stationary_law(example_a)
     gamma = covariance_gamma(example_a, g, law=law)
-    exact = 2.0 * law.of_state(law.nu, 1) * np.exp(-g.times())
+    exact = 2.0 * of_state(law, law.nu, 1) * np.exp(-g.times())
     assert np.abs(gamma.values - exact).max() < 10.0 * g.dt
     assert gamma.values[0] == pytest.approx(0.25, abs=1e-6)
 

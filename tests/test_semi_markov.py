@@ -10,7 +10,6 @@ from semimarket.semi_markov import (
     Trajectory,
     expected_visits_before_hit,
     hurst_from_alpha,
-    integrate_trajectory,
     jump_rounds,
     limit_constant_c2,
     sample_path,
@@ -18,6 +17,8 @@ from semimarket.semi_markov import (
     stationary_law,
     validate_model,
 )
+
+from oracles import integral_at, integrate_trajectory, occupation_times, of_state
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -117,7 +118,7 @@ def test_stationary_law_example_a(example_a):
     np.testing.assert_allclose(law.pi, [0.25, 0.5, 0.25], atol=1e-12)
     np.testing.assert_allclose(law.nu, [0.125, 0.75, 0.125], atol=1e-12)
     np.testing.assert_allclose(law.m, [1.0, 3.0, 1.0], atol=1e-12)
-    assert law.of_state(law.eta, 1) == pytest.approx(8.0)
+    assert of_state(law, law.eta, 1) == pytest.approx(8.0)
     assert law.mu == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,7 +143,7 @@ def test_occupation_fractions_match_nu_simulated(example_a):
     # long-run occupation oracle for nu: one long non-stationary path
     rng = np.random.default_rng(5)
     traj = sample_path(example_a, 1, 40000.0, rng)
-    occ = traj.occupation_times([-1, 0, 1]) / traj.horizon
+    occ = occupation_times(traj, [-1, 0, 1]) / traj.horizon
     law = stationary_law(example_a)
     np.testing.assert_allclose(occ, law.nu, atol=0.02)
 
@@ -234,9 +235,9 @@ def test_c2_asymmetric_value(asym):
     # mu * sum_j j C_j / (2H(1-H)(2H-1)) with the oracle pieces:
     # mu=0.1, C_1 = 7/160, C_-1 = 3/160, H = 0.75
     law = stationary_law(asym)
-    c_plus = law.of_state(law.m, 1) / law.of_state(law.eta, 1) ** 2 \
+    c_plus = of_state(law, law.m, 1) / of_state(law, law.eta, 1) ** 2 \
         * expected_visits_before_hit(asym, 1, 1)
-    c_minus = law.of_state(law.m, -1) / law.of_state(law.eta, -1) ** 2 \
+    c_minus = of_state(law, law.m, -1) / of_state(law, law.eta, -1) ** 2 \
         * expected_visits_before_hit(asym, -1, -1)
     oracle = 0.1 * (c_plus - c_minus) / (2 * 0.75 * 0.25 * 0.5)
     assert limit_constant_c2(asym) == pytest.approx(oracle)
@@ -402,4 +403,4 @@ def test_integral_at_exactness(example_a):
     states_fine = traj.states[np.searchsorted(traj.jump_times, fine, side="right") - 1]
     riemann = np.cumsum(states_fine[:-1] * np.diff(fine))
     idx = np.searchsorted(fine, ts)[1:] - 1
-    np.testing.assert_allclose(traj.integral_at(ts)[1:], riemann[idx], atol=2e-3)
+    np.testing.assert_allclose(integral_at(traj, ts)[1:], riemann[idx], atol=2e-3)
