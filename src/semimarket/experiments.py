@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import __version__
 from . import fbm as fbm_mod
@@ -128,8 +127,23 @@ class ExperimentSpec:
             problems = validate_model(model_from_dict(self.model))
             if problems:
                 raise ValueError(f"invalid model: {'; '.join(problems)}")
+        merged = {**defaults, **self.params}
+        _check_counts_and_times(merged)
         if self.kind == "mixed-market":
-            _check_rhos({**defaults, **self.params})
+            _check_rhos(merged)
+
+
+def _check_counts_and_times(p):
+    """Replicate counts must be positive and check times inside (0, horizon]."""
+    for key in ("seeds", "mc_replicates", "stationarity_rep", "stationarity_seeds", "calib_seeds"):
+        if key in p and not int(p[key]) >= 1:
+            raise ValueError(f"params.{key} must be at least 1, got {p[key]!r}")
+    times = p.get("t_checks")
+    usable = isinstance(times, (list, tuple)) and times and all(
+        isinstance(t, (int, float)) and 0.0 < t <= p["horizon"] for t in times)
+    if "t_checks" in p and not usable:
+        raise ValueError(f"params.t_checks needs one or more times in (0, horizon = "
+                         f"{p['horizon']}], got {times!r}")
 
 
 def _check_rhos(p):
@@ -382,6 +396,8 @@ def run_limit_verification(p, seed, model, threads):
 
 def stationarity_check(model, times, n_rep, seeds, base_seed):
     """Chi-square of the marginal state law at fixed times against nu, pooled over seeds."""
+    from scipy.stats import chi2  # imported here: scipy.stats is slow to load
+
     law = stationary_law(model)
     labels = np.array(model.space.states)
     counts = np.zeros((len(times), labels.size))

@@ -39,5 +39,6 @@ class SamplePath:
 
     def to_csv(self, path):
         """Write the path as CSV with columns t,value."""
-        out = np.column_stack([self.times, self.values])
-        np.savetxt(path, out, delimiter=",", header="t,value", comments="")
+        rows = np.column_stack([self.times, self.values]).ravel().tolist()
+        with open(path, "w") as fh:
+            fh.write("t,value\n" + ("%.18e,%.18e\n" * self.n) % tuple(rows))

@@ -21,9 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import fftconvolve
 
 from .semi_markov import SemiMarkovModel, StationaryLaw, stationary_law, \
     expected_visits_before_hit, limit_constant_c2
@@ -127,6 +124,33 @@ def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
 
 # -- Stieltjes convolution and Volterra solver ------------------------------
 
+def _next_fast_len(target):
+    """Smallest 2^a 3^b 5^c >= target, a fast real FFT length for pocketfft."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fftconvolve(a, b):
+    """Full linear convolution of two real 1-d arrays by FFT at a fast length."""
+    if min(a.size, b.size) <= 1:  # a plain product, exact
+        return a * b
+    n = a.size + b.size - 1
+    m = _next_fast_len(n)
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:n]
+
+
+def _cumulative_trapezoid(y, dx):
+    """Running trapezoid integral of samples y at spacing dx, starting from 0."""
+    return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
+
+
 def conv_stieltjes(dF, g, atom0=0.0):
     """(F * g)(t_m) = atom0 g(t_m) + sum_l (g(t_{m-l}) + g(t_{m-l+1}))/2 dF_l.
 
@@ -137,7 +161,7 @@ def conv_stieltjes(dF, g, atom0=0.0):
     g = np.asarray(g, dtype=float)
     m1 = g.size
     u = dF[1:m1]
-    conv = fftconvolve(u, g)
+    conv = _fftconvolve(u, g)
     out = np.empty(m1)
     out[0] = 0.0
     upad = np.concatenate([u, [0.0, 0.0]])
@@ -206,7 +230,7 @@ class _ToeplitzSolver:
         fft_len >= n-1 gets them right, whatever lags beyond n-1 it adds.
         """
         h = left.shape[1]
-        fft_len = next_fast_len(n - 1, real=True)
+        fft_len = _next_fast_len(n - 1)
         spec = self.spectra.get(fft_len)
         if spec is None:
             lags = self.coef[:, :, 1 : fft_len + 1]
@@ -255,7 +279,7 @@ def solve_volterra(forcing, dk, block=128):
     # residual b - T y in extended precision; the lags >= 1 by FFT
     resid = np.einsum("ik,kn->in", coef[:, :, 0], y, dtype=np.longdouble)
     np.subtract(b, resid, out=resid)
-    fft_len = next_fast_len(2 * n - 1, real=True)
+    fft_len = _next_fast_len(2 * n - 1)
     for i, k in solver.active:
         spec = np.fft.rfft(coef[i, k, 1:].astype(np.longdouble), fft_len)
         spec *= np.fft.rfft(y[k].astype(np.longdouble), fft_len)
@@ -432,8 +456,8 @@ def covariance_gamma(model: SemiMarkovModel, grid: Grid,
 
 def variance_of_integral(gamma: GridFunction) -> GridFunction:
     """Var(t) = 2 ∫_0^t ∫_0^v gamma(u) du dv by cumulative trapezoid."""
-    inner = cumulative_trapezoid(gamma.values, dx=gamma.grid.dt, initial=0.0)
-    outer = cumulative_trapezoid(inner, dx=gamma.grid.dt, initial=0.0)
+    inner = _cumulative_trapezoid(gamma.values, gamma.grid.dt)
+    outer = _cumulative_trapezoid(inner, gamma.grid.dt)
     return GridFunction(gamma.grid, 2.0 * outer, kind="plain")
 
 
@@ -498,8 +522,7 @@ def key_renewal_asymptote(f_law, z: GridFunction, grid: Grid):
 
 def write_grid_csv(path, quantity, gf: GridFunction):
     """Emit a grid table as CSV with columns t,quantity,value."""
-    t = gf.grid.times()
+    rows = [f"{t!r},{quantity},{v!r}\n"
+            for t, v in zip(gf.grid.times().tolist(), gf.values.tolist())]
     with open(path, "w") as fh:
-        fh.write("t,quantity,value\n")
-        for ti, vi in zip(t, gf.values):
-            fh.write(f"{float(ti)!r},{quantity},{float(vi)!r}\n")
+        fh.write("t,quantity,value\n" + "".join(rows))

@@ -322,17 +322,20 @@ def _pick(cum, u):
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def _transition_pairs(model):
-    """Feasible (i_idx, j_idx, law) transitions, and whether each row has a single law."""
-    states = model.space.states
-    pairs = []
-    per_state = True
-    for ii, i in enumerate(states):
-        row = [(ii, jj, model.law(i, j)) for jj, j in enumerate(states)
-               if model.chain.p[ii, jj] > 0.0]
-        per_state = per_state and len({lw for _, _, lw in row}) <= 1
-        pairs += row
-    return pairs, per_state
+def _sojourn_groups(model):
+    """Group width w and the law of each sojourn group key.
+
+    An agent entering state i with next state j draws its sojourn in group i
+    (w = 1) when every row of the kernel has a single law, else in group
+    i * w + j (w = number of states).
+    """
+    states, p = model.space.states, model.chain.p
+    rows = [[(jj, model.law(i, j)) for jj, j in enumerate(states) if p[ii, jj] > 0.0]
+            for ii, i in enumerate(states)]
+    if all(len({lw for _, lw in row}) <= 1 for row in rows):
+        return 1, {ii: row[0][1] for ii, row in enumerate(rows) if row}
+    width = len(states)
+    return width, {ii * width + jj: lw for ii, row in enumerate(rows) for jj, lw in row}
 
 
 def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
@@ -350,6 +353,20 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
     a residual first sojourn from the integrated-tail law of G(k, j, .), which
     reproduces the joint density prop. to pi_k p_kj (1 - G(k, j, t)).
     stationary=False starts at initial_state with a fresh kernel sojourn.
+
+    Draw order, which fixes every stream built on the engine: the start takes
+    rng.random(n_agents) for xi_0 (unless initial_state is given), then for
+    each state k in turn one rng.random call for the next states of the agents
+    in k and one sampler call per (k, j) for their first sojourns.  A round of
+    m agents then takes one rng.random(2m): the first m values pick the next
+    states, the last m are the sojourn uniforms, handed out group by group in
+    ascending group order and in agent order within a group.  The group is the
+    state entered, or the (entered, next) pair when some row of the kernel
+    carries several laws; each group's ppf is called once on exactly its own
+    uniforms, since a batch quantile (ParetoLog's bisection) depends on the
+    whole batch.
+
+    An array once yielded is never written again, so consumers may keep it.
     """
     states = model.space.states
     n_states = len(states)
@@ -385,29 +402,27 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
                 draw = lw.equilibrium_sample if stationary else lw.sample
                 t_now[sub] = draw(rng, hits)
 
-    pairs, per_state = _transition_pairs(model)
-    state_laws = {ii: lw for ii, _, lw in pairs}
-    idx = np.flatnonzero(t_now < horizon)
-    while idx.size:
-        src, dst = cur[idx], nxt[idx]
-        yield idx, t_now[idx], src, dst
-        cur[idx] = dst
-        nxt_a = _pick(kernel_cum[dst], rng.random(idx.size))
-        nxt[idx] = nxt_a
-        sojourn = np.empty(idx.size)
-        if per_state:
-            for ii, lw in state_laws.items():
-                sub = np.flatnonzero(dst == ii)
-                if sub.size:
-                    sojourn[sub] = lw.sample(rng, sub.size)
-        else:
-            code = dst * n_states + nxt_a
-            for ii, jj, lw in pairs:
-                sub = np.flatnonzero(code == ii * n_states + jj)
-                if sub.size:
-                    sojourn[sub] = lw.sample(rng, sub.size)
-        t_now[idx] += sojourn
-        idx = idx[t_now[idx] < horizon]
+    width, group_law = _sojourn_groups(model)
+    key_type = np.min_scalar_type(width * n_states)  # a narrow key sorts by radix
+    live = np.flatnonzero(t_now < horizon)
+    agents, t, src, dst = live, t_now[live], cur[live], nxt[live]
+    while agents.size:
+        yield agents, t, src, dst
+        n = agents.size
+        u = rng.random(2 * n)
+        nxt = sum(u[:n] >= column[dst] for column in kernel_cum[:, :-1].T)
+        key = (dst if width == 1 else dst * width + nxt).astype(key_type)
+        counts = np.bincount(key)
+        stops = n + np.cumsum(counts)
+        for g in np.flatnonzero(counts):
+            span = slice(stops[g] - counts[g], stops[g])
+            u[span] = group_law[g].ppf(u[span])
+        sojourn = np.empty(n)
+        sojourn[np.argsort(key, kind="stable")] = u[n:]
+        src, dst, t = dst, nxt, t + sojourn
+        live = t < horizon
+        if not live.all():
+            agents, t, src, dst = agents[live], t[live], src[live], dst[live]
 
 
 def _trajectory(model, horizon, rng, law=None, stationary=True, initial_state=None):

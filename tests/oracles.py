@@ -2,14 +2,15 @@
 
 They live beside the tests because no experiment kind calls them: the exact
 integral of a one-agent trajectory, the renewal function, the equilibrium CDF,
-the drift-condition report and the goodness moments of an amplitude model.
+the drift-condition report, the goodness moments of an amplitude model and a
+reference agent engine whose random streams the package engine must reproduce.
 """
 import numpy as np
 
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
 from semimarket.renewal import GridFunction, _renewal_solve
-from semimarket.semi_markov import theorem_condition_value
+from semimarket.semi_markov import _cumulative, _pick, stationary_law, theorem_condition_value
 
 
 def of_state(law, vec, label):
@@ -33,6 +34,79 @@ def theorem_condition(model):
     holds, product, mu, s = theorem_condition_value(model)
     return bool(holds), {"mu": mu, "sum_k_mk_over_eta2": s, "product": product,
                          "holds": bool(holds)}
+
+
+# -- the reference agent engine ------------------------------------------------
+
+def reference_jump_rounds(model, n_agents, horizon, rng, law=None, stationary=True,
+                          initial_state=None):
+    """Plain form of `semi_markov.jump_rounds` with the same draw order.
+
+    It holds full-size state arrays and gathers the live agents each round:
+    one rng.random call picks the next states, then one ppf call per sojourn
+    group (state entered, or (entered, next) pair when some row has several
+    laws) on its own consecutive uniforms, groups in ascending order.
+    """
+    states = model.space.states
+    n_states = len(states)
+    p = model.chain.p
+    kernel_cum = _cumulative(p)
+    if stationary:
+        law = law or stationary_law(model)
+        weights = p * law.m_cond
+        start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
+    else:
+        start_cum = kernel_cum
+    if initial_state is None:
+        cur = _pick(_cumulative(law.nu), rng.random(n_agents))
+    else:
+        cur = np.full(n_agents, model.space.index(initial_state), dtype=np.int64)
+    yield cur.copy()
+
+    nxt = np.empty(n_agents, dtype=np.int64)
+    t_now = np.empty(n_agents)
+    for k_idx in range(n_states):
+        mask = cur == k_idx
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        nxt[mask] = _pick(start_cum[k_idx], rng.random(count))
+        for j_idx in range(n_states):
+            sub = mask & (nxt == j_idx)
+            hits = int(sub.sum())
+            if hits:
+                lw = model.law(states[k_idx], states[j_idx])
+                draw = lw.equilibrium_sample if stationary else lw.sample
+                t_now[sub] = draw(rng, hits)
+
+    pairs = []
+    per_state = True
+    for ii, i in enumerate(states):
+        row = [(ii, jj, model.law(i, j)) for jj, j in enumerate(states) if p[ii, jj] > 0.0]
+        per_state = per_state and len({lw for _, _, lw in row}) <= 1
+        pairs += row
+    state_laws = {ii: lw for ii, _, lw in pairs}
+    idx = np.flatnonzero(t_now < horizon)
+    while idx.size:
+        src, dst = cur[idx], nxt[idx]
+        yield idx, t_now[idx], src, dst
+        cur[idx] = dst
+        nxt_a = _pick(kernel_cum[dst], rng.random(idx.size))
+        nxt[idx] = nxt_a
+        sojourn = np.empty(idx.size)
+        if per_state:
+            for ii, lw in state_laws.items():
+                sub = np.flatnonzero(dst == ii)
+                if sub.size:
+                    sojourn[sub] = lw.sample(rng, sub.size)
+        else:
+            code = dst * n_states + nxt_a
+            for ii, jj, lw in pairs:
+                sub = np.flatnonzero(code == ii * n_states + jj)
+                if sub.size:
+                    sojourn[sub] = lw.sample(rng, sub.size)
+        t_now[idx] += sojourn
+        idx = idx[t_now[idx] < horizon]
 
 
 # -- one trajectory ------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import semimarket
 from semimarket.cli import main as cli_main
 from semimarket.config import load_model, model_from_dict
 from semimarket.distributions import Pareto
@@ -217,6 +221,17 @@ def test_validate_report_catches_problems():
     assert any("band" in p for p in validate_report(good))
 
 
+def test_package_import_loads_no_scipy():
+    # scipy.stats and friends take most of a second to import; the package
+    # needs scipy only inside stationarity_check
+    code = "import sys, semimarket.experiments, semimarket.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(semimarket.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
+
 def test_all_kinds_registered():
     assert set(EXPERIMENT_KINDS) == {
         "fbm-selftest", "example-a", "markov-baseline", "mixed-market",
@@ -408,6 +423,37 @@ def test_fbm_cov_cell_finite_at_small_n(cov_n):
 
     cell = _fbm_cov_cell(0.75, 20, cov_n, 1)
     assert np.isfinite(cell["metrics"]["worst_dev_se"])
+
+
+_BAD_COUNTS = (
+    ("renewal-tables", {"t_checks": []}, "t_checks"),
+    ("renewal-tables", {"t_checks": [-1.0]}, "t_checks"),
+    ("renewal-tables", {"t_checks": [0.0, 5.0]}, "t_checks"),
+    ("renewal-tables", {"t_checks": [13.0]}, "t_checks"),
+    ("renewal-tables", {"t_checks": ["1.0"]}, "t_checks"),
+    ("renewal-tables", {"mc_replicates": 0}, "mc_replicates"),
+    ("renewal-tables", {"stationarity_rep": 0}, "stationarity_rep"),
+    ("renewal-tables", {"stationarity_seeds": 0}, "stationarity_seeds"),
+    ("example-a", {"seeds": 0}, "seeds"),
+    ("markov-baseline", {"seeds": 0}, "seeds"),
+    ("limit-verification", {"seeds": 0}, "seeds"),
+    ("integral-identities", {"seeds": 0}, "seeds"),
+    ("fbm-selftest", {"calib_seeds": 0}, "calib_seeds"),
+)
+
+
+@pytest.mark.parametrize("kind, params, key", _BAD_COUNTS)
+def test_spec_rejects_empty_counts_and_bad_times(kind, params, key):
+    with pytest.raises(ValueError, match=key):
+        ExperimentSpec(kind=kind, params=params)
+
+
+@pytest.mark.parametrize("kind, params, key", _BAD_COUNTS)
+def test_cli_rejects_empty_counts_and_bad_times(tmp_path, capsys, kind, params, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": kind, "params": params}))
+    assert cli_main([kind, "--config", str(cfg)]) == 2
+    assert f"params.{key}" in capsys.readouterr().err
 
 
 _BAD_RHOS = ({"rhos": [0.5]}, {"rhos": [0.01, 0.5], "n_agents": 20})

@@ -29,3 +29,15 @@ def test_sample_path_csv(tmp_path):
     grid = np.loadtxt(out, delimiter=",", skiprows=1)
     np.testing.assert_allclose(grid[:, 0], path.times)
     np.testing.assert_allclose(grid[:, 1], path.values)
+
+
+def test_sample_path_csv_bytes_match_savetxt(tmp_path):
+    # the writer keeps np.savetxt's default format byte for byte
+    rng = np.random.default_rng(3)
+    path = SamplePath(dt=1.0 / 3.0, values=np.concatenate([[0.0, -0.0, 1e-300, -2.5e17],
+                                                            rng.standard_normal(500)]))
+    out, ref = tmp_path / "path.csv", tmp_path / "ref.csv"
+    path.to_csv(out)
+    np.savetxt(ref, np.column_stack([path.times, path.values]), delimiter=",",
+               header="t,value", comments="")
+    assert out.read_bytes() == ref.read_bytes()

@@ -690,3 +690,33 @@ def test_write_grid_csv(tmp_path):
     assert lines[0] == "t,quantity,value"
     assert lines[2].split(",")[1] == "demo"
     assert float(lines[2].split(",")[2]) == 1.0
+
+
+def test_write_grid_csv_bytes_match_row_repr(tmp_path):
+    # one row per grid point, each float as its shortest round-trip repr
+    rng = np.random.default_rng(5)
+    g = Grid(dt=0.1, n_points=1001)
+    values = rng.standard_normal(g.n_points) * 10.0 ** rng.integers(-20, 20, g.n_points)
+    values[:3] = [0.0, -0.0, 1e-310]
+    gf = GridFunction(g, values)
+    out = tmp_path / "table.csv"
+    write_grid_csv(out, "gamma", gf)
+    rows = [f"{float(t)!r},gamma,{float(v)!r}\n" for t, v in zip(g.times(), values)]
+    assert out.read_text() == "t,quantity,value\n" + "".join(rows)
+
+
+def test_fft_helpers_match_scipy():
+    # the numpy stand-ins give scipy's results bit for bit
+    from scipy.fft import next_fast_len
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.signal import fftconvolve
+
+    lengths = list(range(1, 5000)) + [420001, 840001, 2**20 + 3, 3**12 + 1]
+    assert [renewal._next_fast_len(n) for n in lengths] == \
+        [next_fast_len(n, real=True) for n in lengths]
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 7, 64, 1000, 4097):
+        a, b = rng.random(n), rng.random(n + 5)
+        np.testing.assert_array_equal(renewal._fftconvolve(a, b), fftconvolve(a, b))
+        np.testing.assert_array_equal(renewal._cumulative_trapezoid(b, 0.3),
+                                      cumulative_trapezoid(b, dx=0.3, initial=0.0))

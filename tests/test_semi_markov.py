@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from semimarket import semi_markov
 from semimarket.config import model_from_dict
+from semimarket.experiments import LIMIT_MODEL, MARKOV_MODEL
 from semimarket.paths import SamplePath
 from semimarket.semi_markov import (
     SemiMarkovModel,
@@ -13,12 +17,19 @@ from semimarket.semi_markov import (
     jump_rounds,
     limit_constant_c2,
     sample_path,
+    sample_stationary_path,
     states_at_times,
     stationary_law,
     validate_model,
 )
 
-from oracles import integral_at, integrate_trajectory, occupation_times, of_state
+from oracles import (
+    integral_at,
+    integrate_trajectory,
+    occupation_times,
+    of_state,
+    reference_jump_rounds,
+)
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -344,6 +355,65 @@ def test_engine_rounds_are_consistent(asym):
         assert np.all(p[src, dst] > 0.0)
         assert np.all((t > last[agents]) & (t < 50.0))
         cur[agents], last[agents] = dst, t
+
+
+# log-tailed exits from 0 with one law per edge and a uniform edge: rows with
+# several laws, so sojourns are grouped by (entered, next) pair
+PER_EDGE = dict(EXAMPLE_A, slowly_varying="log", edges={
+    "0->-1": {"family": "pareto", "scale": 0.5, "alpha": 1.5},
+    "0->1": {"family": "pareto", "scale": 2.0, "alpha": 1.5},
+    "-1->0": {"family": "uniform", "lo": 0.5, "hi": 1.5},
+})
+ENGINE_MODELS = {"example-a": EXAMPLE_A, "limit": LIMIT_MODEL, "markov": MARKOV_MODEL,
+                 "per-edge": PER_EDGE}
+ENGINE_STARTS = {"stationary": {}, "fixed-0": dict(stationary=False, initial_state=0),
+                 "stationary-1": dict(initial_state=1)}
+
+
+def _assert_same_rounds(rounds, reference, n_rounds=None):
+    """Compare the start states, then the first n_rounds rounds (every round when None)."""
+    np.testing.assert_array_equal(next(rounds), next(reference))
+    count = 0
+    for got, want in itertools.islice(zip(rounds, reference, strict=True), n_rounds):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("start", ENGINE_STARTS)
+@pytest.mark.parametrize("name", ENGINE_MODELS)
+def test_engine_streams_match_reference(name, start):
+    # the engine reproduces the reference engine's draws bit for bit, round by round
+    model = model_from_dict(ENGINE_MODELS[name])
+    assert (name == "per-edge") == (semi_markov._sojourn_groups(model)[0] > 1)
+    kw = ENGINE_STARTS[start]
+    runs = [engine(model, 300, 60.0, np.random.default_rng(8), **kw)
+            for engine in (jump_rounds, reference_jump_rounds)]
+    assert _assert_same_rounds(*runs) > 20
+    # with no horizon the engine never ends; its first round moves every agent
+    runs = [engine(model, 500, np.inf, np.random.default_rng(9), **kw)
+            for engine in (jump_rounds, reference_jump_rounds)]
+    assert _assert_same_rounds(*runs, n_rounds=1) == 1
+
+
+@pytest.mark.parametrize("name", ENGINE_MODELS)
+def test_engine_samplers_match_reference(name, monkeypatch):
+    model = model_from_dict(ENGINE_MODELS[name])
+    times = np.array([30.0, 0.0, 12.5, 7.0])
+
+    def draw():
+        return (states_at_times(model, times, 400, np.random.default_rng(21)),
+                sample_path(model, 0, 80.0, np.random.default_rng(22)),
+                sample_stationary_path(model, 80.0, np.random.default_rng(23)))
+
+    got = draw()
+    monkeypatch.setattr(semi_markov, "jump_rounds", reference_jump_rounds)
+    want = draw()
+    np.testing.assert_array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(a.jump_times, b.jump_times)
+        np.testing.assert_array_equal(a.states, b.states)
 
 
 def test_states_at_times_time_invariance_chisquare(example_a):
