@@ -21,10 +21,10 @@ model = load_model("configs/example_a.json")
 law = stationary_law(model)
 grid = Grid.for_horizon(12.0, 0.005)
 
-pstar = stationary_transition(model, grid, law=law)
+pstar = stationary_transition(model, grid)
 print("P*_t(1,1) at t = 1, 5, 10:", np.round(pstar[(1, 1)].at(np.array([1.0, 5.0, 10.0])), 4))
 
-gamma = covariance_gamma(model, grid, law=law)
+gamma = covariance_gamma(model, grid)
 exact = 2 * law.nu[2] * np.exp(-grid.times())
 print("max |gamma - 2 nu_1 e^-t| =", f"{np.abs(gamma.values - exact).max():.2e}")
 

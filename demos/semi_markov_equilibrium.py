@@ -27,7 +27,7 @@ for name in ("example_a", "asymmetric"):
     print("eta:", np.round(law.eta, 4))
     print("expected inactive visits between returns to +1:",
           expected_visits_before_hit(model, 1, 1))
-    holds, product, _, _ = theorem_condition_value(model, law)
+    holds, product, _, _ = theorem_condition_value(model)
     print("drift condition holds:", bool(holds), " product:", round(product, 6))
     if holds:
         print("limit constant c^2 =", round(limit_constant_c2(model), 6),

@@ -20,6 +20,7 @@ from .semi_markov import (
     sample_path,
     sample_stationary_path,
     stationary_law,
+    tail_constant_Cj,
     validate_model,
 )
 from .renewal import (
@@ -30,7 +31,6 @@ from .renewal import (
     first_passage,
     key_renewal_asymptote,
     stationary_transition,
-    tail_constant_Cj,
     variance_of_integral,
 )
 from .fbm import (

@@ -27,7 +27,7 @@ from . import renewal as rnw
 from .config import model_from_dict
 from .paths import SamplePath
 from .semi_markov import limit_constant_c2, states_at_times, stationary_law, \
-    validate_model
+    tail_constant_Cj, validate_model
 
 __all__ = [
     "ExperimentSpec",
@@ -134,16 +134,19 @@ class ExperimentSpec:
 
 
 def _check_counts_and_times(p):
-    """Replicate counts must be positive and check times inside (0, horizon]."""
-    for key in ("seeds", "mc_replicates", "stationarity_rep", "stationarity_seeds", "calib_seeds"):
-        if key in p and not int(p[key]) >= 1:
-            raise ValueError(f"params.{key} must be at least 1, got {p[key]!r}")
-    times = p.get("t_checks")
-    usable = isinstance(times, (list, tuple)) and times and all(
-        isinstance(t, (int, float)) and 0.0 < t <= p["horizon"] for t in times)
-    if "t_checks" in p and not usable:
-        raise ValueError(f"params.t_checks needs one or more times in (0, horizon = "
-                         f"{p['horizon']}], got {times!r}")
+    """Counts must reach their minimum and check times lie inside (0, horizon]."""
+    minimum = {"seeds": 1, "mc_replicates": 1, "stationarity_rep": 1, "stationarity_seeds": 1,
+               "calib_seeds": 1, "cov_paths": 1, "levels": 2}
+    for key, least in minimum.items():
+        if key in p and not int(p[key]) >= least:
+            raise ValueError(f"params.{key} must be at least {least}, got {p[key]!r}")
+    for key in ("t_checks", "ladder"):
+        times = p.get(key)
+        usable = isinstance(times, (list, tuple)) and times and all(
+            isinstance(t, (int, float)) and 0.0 < t <= p["horizon"] for t in times)
+        if key in p and not usable:
+            raise ValueError(f"params.{key} needs one or more times in (0, horizon = "
+                             f"{p['horizon']}], got {times!r}")
 
 
 def _check_rhos(p):
@@ -398,17 +401,16 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
     """Chi-square of the marginal state law at fixed times against nu, pooled over seeds."""
     from scipy.stats import chi2  # imported here: scipy.stats is slow to load
 
-    law = stationary_law(model)
-    labels = np.array(model.space.states)
+    labels = np.array(model.states)
     counts = np.zeros((len(times), labels.size))
     for s in range(seeds):
         rng = np.random.default_rng([base_seed, s])
-        out = states_at_times(model, times, n_rep, rng, law=law)
+        out = states_at_times(model, times, n_rep, rng)
         for ti in range(len(times)):
             for li, lab in enumerate(labels):
                 counts[ti, li] += np.sum(out[:, ti] == lab)
     total = counts.sum(axis=1, keepdims=True)
-    expected = law.nu[None, :] * total
+    expected = stationary_law(model).nu[None, :] * total
     stat = ((counts - expected) ** 2 / expected).sum(axis=1)
     pvals = chi2.sf(stat, df=labels.size - 1)
     return {"times": list(map(float, times)), "pvalues": [float(v) for v in pvals],
@@ -417,14 +419,13 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
 
 def run_renewal_tables(p, seed, model, threads):
     model_obj = model_from_dict(model)
-    law = stationary_law(model_obj)
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
-    pstar = rnw.stationary_transition(model_obj, grid, law=law)
+    pstar = rnw.stationary_transition(model_obj, grid)
     p11 = pstar[(1, 1)]
     rng = np.random.default_rng([seed, 11])
     t_checks = np.asarray(p["t_checks"], dtype=float)
     marg = states_at_times(model_obj, t_checks, int(p["mc_replicates"]), rng,
-                           initial_state=1, law=law)
+                           initial_state=1)
     verdicts = []
     mc_vals, num_vals = [], []
     for ti, t_q in enumerate(t_checks):
@@ -435,8 +436,8 @@ def run_renewal_tables(p, seed, model, threads):
         num_vals.append(num)
         verdicts.append(_verdict(f"pstar11_vs_mc_t{t_q:g}", abs(num - frac) / se,
                                  band=(0.0, 3.0)))
-    gamma = rnw.covariance_gamma(model_obj, grid, law=law)
-    nu1 = law.nu[list(law.states).index(1)]
+    gamma = rnw.covariance_gamma(model_obj, grid)
+    nu1 = stationary_law(model_obj).nu[model_obj.states.index(1)]
     exact = 2.0 * nu1 * np.exp(-grid.times())
     worst = float(np.abs(gamma.values - exact).max())
     verdicts.append(_verdict("gamma_vs_closed_form", worst, band=(0.0, 10.0 * grid.dt)))
@@ -445,7 +446,7 @@ def run_renewal_tables(p, seed, model, threads):
                               seed + 1)
     verdicts.append(_verdict("stationary_marginals_pvalue", stat["min_pvalue"],
                              band=(0.01, 1.0)))
-    c1 = rnw.tail_constant_Cj(model_obj, 1, law=law)
+    c1 = tail_constant_Cj(model_obj, 1)
     metrics = {"mc_p11": mc_vals, "numeric_p11": num_vals,
                "gamma_max_abs_err": worst, "C_1": c1,
                "stationarity": stat}

@@ -175,24 +175,25 @@ class _GridBinner:
         return np.concatenate([[0.0], np.cumsum(cells)]), rate
 
 
-def _aggregate_occupation(cfg: MarketConfig, law, replicate, stream_base):
+def _aggregate_occupation(cfg: MarketConfig, replicate, stream_base):
     """Summed mood's cumulative occupation integral and rate at the grid points.
 
     The cfg.n_agents agents of cfg.model run through the engine on the stream
     (seed, replicate, stream_base); time is on the agents' clock t/eps.
     """
     binner = _GridBinner(np.linspace(0.0, cfg.horizon, cfg.n_grid) / cfg.epsilon)
-    labels = np.array(cfg.model.space.states)
+    labels = np.array(cfg.model.states)
     rng = np.random.default_rng([cfg.seed, replicate, stream_base])
-    rounds = jump_rounds(cfg.model, cfg.n_agents, cfg.horizon / cfg.epsilon, rng, law=law)
+    rounds = jump_rounds(cfg.model, cfg.n_agents, cfg.horizon / cfg.epsilon, rng)
     x0 = float(labels[next(rounds)].sum())
     for _, t, src, dst in rounds:
         binner.add(t, labels[dst] - labels[src])
     return binner.occupation(x0)
 
 
-def _assemble(cfg, psi, cum, rate, mu, scaling):
+def _assemble(cfg, psi, cum, rate, scaling):
     dt = cfg.dt
+    mu = stationary_law(cfg.model).mu
     inflow = cfg.epsilon * np.diff(cum)          # ∫_cell sum_a x^a_{s/eps} ds, exact
     x_inc = psi.values[:-1] * (inflow - mu * cfg.n_agents * dt)
     x_raw = np.concatenate([[0.0], np.cumsum(x_inc)])
@@ -220,7 +221,6 @@ def simulate_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
 
 
 def _market(cfg, replicate):
-    law = stationary_law(cfg.model)
     if cfg.model.alpha is not None:
         h = cfg.model.hurst()
         l_eps = float(cfg.model.tail_scale(1.0 / cfg.epsilon))
@@ -229,8 +229,8 @@ def _market(cfg, replicate):
         scaling = float(np.sqrt(cfg.epsilon * cfg.n_agents))
     psi_rng = np.random.default_rng([cfg.seed, replicate, 0])
     psi = simulate_amplitude(cfg.amplitude, cfg.dt, cfg.n_grid, psi_rng)
-    cum, rate = _aggregate_occupation(cfg, law, replicate, 1)
-    return _assemble(cfg, psi, cum, rate, law.mu, scaling)
+    cum, rate = _aggregate_occupation(cfg, replicate, 1)
+    return _assemble(cfg, psi, cum, rate, scaling)
 
 
 def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
@@ -256,7 +256,6 @@ def mixed_market(cfg: MarketConfig, rhos, markov_model: SemiMarkovModel, replica
     if any(rho < 0.0 for rho in rhos):
         raise ValueError("rho must be nonnegative")
     inert = simulate_market(cfg, replicate=replicate)
-    law_y = stationary_law(markov_model)
     scaling = float(np.sqrt(cfg.n_agents * cfg.epsilon))
     psi = SamplePath(dt=cfg.dt, values=np.ones(cfg.n_grid))
     actives = []
@@ -266,6 +265,6 @@ def mixed_market(cfg: MarketConfig, rhos, markov_model: SemiMarkovModel, replica
             actives.append(None)
             continue
         active_cfg = replace(cfg, model=markov_model, n_agents=n_active)
-        cum, rate = _aggregate_occupation(active_cfg, law_y, replicate, 10_000)
-        actives.append(_assemble(active_cfg, psi, cum, rate, law_y.mu, scaling))
+        cum, rate = _aggregate_occupation(active_cfg, replicate, 10_000)
+        actives.append(_assemble(active_cfg, psi, cum, rate, scaling))
     return inert, actives

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semi_markov import SemiMarkovModel, StationaryLaw, stationary_law, \
-    expected_visits_before_hit, limit_constant_c2
+from .semi_markov import SemiMarkovModel, limit_constant_c2, stationary_law
 
 __all__ = [
     "Grid",
@@ -33,7 +32,6 @@ __all__ = [
     "first_passage",
     "stationary_first_passage",
     "stationary_transition",
-    "tail_constant_Cj",
     "covariance_gamma",
     "variance_of_integral",
     "asymptotic_covariance",
@@ -105,14 +103,14 @@ class KernelGrid:
 
 
 def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
-    states = model.space.states
+    states = model.states
     n = len(states)
     t = grid.times()
     q = np.zeros((n, n, grid.n_points))
     h = np.ones((n, grid.n_points))
     for ii, i in enumerate(states):
         for jj, j in enumerate(states):
-            pij = model.chain.p[ii, jj]
+            pij = model.p[ii, jj]
             if pij > 0.0:
                 q[ii, jj] = pij * model.law(i, j).cdf(t)
         h[ii] = 1.0 - q[ii].sum(axis=0)
@@ -151,11 +149,11 @@ def _cumulative_trapezoid(y, dx):
     return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
 
 
-def conv_stieltjes(dF, g, atom0=0.0):
-    """(F * g)(t_m) = atom0 g(t_m) + sum_l (g(t_{m-l}) + g(t_{m-l+1}))/2 dF_l.
+def conv_stieltjes(dF, g):
+    """(F * g)(t_m) = sum_l (g(t_{m-l}) + g(t_{m-l+1}))/2 dF_l over l = 1..m.
 
-    dF holds exact increments dF[l] = F(t_l) - F(t_{l-1}) (dF[0] ignored);
-    atom0 is a point mass of F at t = 0.
+    dF holds exact increments dF[l] = F(t_l) - F(t_{l-1}); dF[0], a point mass
+    of F at t = 0, is ignored.
     """
     dF = np.asarray(dF, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -166,10 +164,6 @@ def conv_stieltjes(dF, g, atom0=0.0):
     out[0] = 0.0
     upad = np.concatenate([u, [0.0, 0.0]])
     out[1:] = 0.5 * (conv[: m1 - 1] + conv[1:m1] - upad[1:m1] * g[0])
-    if atom0 != 0.0:
-        out = out + atom0 * g
-    else:
-        out[0] = 0.0
     return out
 
 
@@ -319,12 +313,13 @@ def _renewal_solve(forcing, f_values):
     return solve_volterra(forcing[None, :], df[None, None, :])[0]
 
 
-def _stationary_pieces(model, law: StationaryLaw, grid: Grid):
+def _stationary_pieces(model, grid: Grid):
     """Exact s(i,t) = P*{xi_0 = i, T_1 > t} and shat(i,k,t) = P*{xi_1=k, T_1<=t | xi_0=i}."""
-    states = model.space.states
+    law = stationary_law(model)
+    states = model.states
     n = len(states)
     t = grid.times()
-    p = model.chain.p
+    p = model.p
     total_pm = float(law.pi @ law.m)
     s = np.zeros((n, grid.n_points))
     shat = np.zeros((n, n, grid.n_points))
@@ -340,30 +335,32 @@ def _stationary_pieces(model, law: StationaryLaw, grid: Grid):
     return s, shat
 
 
-def stationary_first_passage(model: SemiMarkovModel, grid: Grid, start, target,
-                             passage=None, law: StationaryLaw | None = None,
-                             pieces=None):
-    """F*(i,j,.) under the equilibrium initial law.
+def _fstar(shat_row, passage, states, target):
+    """F*(i,j,.) = shat(i,j,.) + sum_{k != j} F(k,j,.) * shat(i,k,d.) for j = target.
 
-    F* = shat(i,j,.) + sum_{k != j} F(k,j,.) * shat(i,k,d.).
+    shat_row is shat(i,.,.) of `_stationary_pieces`, passage the first
+    passages F(., j, .) of `first_passage`.
     """
-    law = law if law is not None else stationary_law(model)
-    passage = passage if passage is not None else first_passage(model, grid, target)
-    _, shat = pieces if pieces is not None else _stationary_pieces(model, law, grid)
-    states = list(model.space.states)
-    ii = states.index(start)
+    grid = passage[target].grid
     jj = states.index(target)
-    out = shat[ii, jj].copy()
+    out = shat_row[jj].copy()
     for kk, k in enumerate(states):
         if kk == jj:
             continue
         dsh = np.zeros(grid.n_points)
-        dsh[1:] = np.diff(shat[ii, kk])
+        dsh[1:] = np.diff(shat_row[kk])
         out += conv_stieltjes(dsh, passage[k].values)
     return GridFunction(grid, np.clip(out, 0.0, None), kind="distribution")
 
 
-def _equilibrium_deviations(model, grid, law: StationaryLaw, targets, weights):
+def stationary_first_passage(model: SemiMarkovModel, grid: Grid, start, target):
+    """F*(start, target, .): first passage to target under the equilibrium initial law."""
+    _, shat = _stationary_pieces(model, grid)
+    return _fstar(shat[model.states.index(start)], first_passage(model, grid, target),
+                  model.states, target)
+
+
+def _equilibrium_deviations(model, grid, targets, weights):
     """D[t, r] = sum_i weights[r, i] (P*(i, targets[t]) - nu_targets[t]) on the grid.
 
     P*_t(i,j) = delta_ij s(i,t)/nu_i + ∫_0^t h(j,t-u) R*(i,j,du) with
@@ -376,10 +373,10 @@ def _equilibrium_deviations(model, grid, law: StationaryLaw, targets, weights):
     heavy-tail decay.  Cost: one first passage and one scalar renewal solve
     per weight row for each target.
     """
+    law = stationary_law(model)
     kernel = kernel_on_grid(model, grid)
-    pieces = _stationary_pieces(model, law, grid)
-    s = pieces[0]
-    states = list(model.space.states)
+    s, shat = _stationary_pieces(model, grid)
+    states = model.states
     weights = np.asarray(weights, dtype=float)
     starts = [ii for ii in range(len(states)) if np.any(weights[:, ii])]
     out = np.empty((len(targets), weights.shape[0], grid.n_points))
@@ -388,8 +385,7 @@ def _equilibrium_deviations(model, grid, law: StationaryLaw, targets, weights):
         passage = first_passage(model, grid, j, kernel=kernel)
         fstar = np.zeros((len(states), grid.n_points))
         for ii in starts:
-            fstar[ii] = stationary_first_passage(model, grid, states[ii], j, passage=passage,
-                                                 law=law, pieces=pieces).values
+            fstar[ii] = _fstar(shat[ii], passage, states, j).values
         for r, row in enumerate(weights @ fstar):
             drow = np.zeros(grid.n_points)
             drow[1:] = np.diff(row)
@@ -400,21 +396,20 @@ def _equilibrium_deviations(model, grid, law: StationaryLaw, targets, weights):
     return out
 
 
-def stationary_transition(model: SemiMarkovModel, grid: Grid,
-                          law: StationaryLaw | None = None):
+def stationary_transition(model: SemiMarkovModel, grid: Grid):
     """Equilibrium transition probabilities P*_t(i,j) for all state pairs.
 
     P*_t(i,j) = delta_ij s(i,t)/nu_i + ∫_0^t h(j,t-s) R*(i,j,ds), formed in
     deviation form with one renewal solve per state pair and nu_j added back.
     Rows must sum to 1 within 10*dt and approach nu at the horizon.
     """
-    law = law if law is not None else stationary_law(model)
+    law = stationary_law(model)
     if grid.dt > min(law.m) / 20.0 + 1e-12:
         raise ValueError(
             f"grid step {grid.dt} too coarse: need dt <= min mean sojourn / 20 "
             f"= {min(law.m) / 20.0}")
-    states = list(model.space.states)
-    dev = _equilibrium_deviations(model, grid, law, states, np.eye(len(states)))
+    states = model.states
+    dev = _equilibrium_deviations(model, grid, states, np.eye(len(states)))
     out = dev.transpose(1, 0, 2) + law.nu[None, :, None]  # out[i, j] = P*(i, j)
     drift = np.abs(out.sum(axis=1) - 1.0).max()
     if drift > 10.0 * grid.dt:
@@ -425,18 +420,7 @@ def stationary_transition(model: SemiMarkovModel, grid: Grid,
 
 # -- limit constants and covariance -----------------------------------------
 
-def tail_constant_Cj(model: SemiMarkovModel, target, law: StationaryLaw | None = None):
-    """C_j = (m_j / eta_j^2) * expected inactive-state visits between entrances to j."""
-    if target == 0:
-        raise ValueError("tail constant is defined for active states only (j != 0)")
-    law = law if law is not None else stationary_law(model)
-    jj = list(law.states).index(target)
-    visits = expected_visits_before_hit(model, target, target)
-    return float(law.m[jj] / law.eta[jj] ** 2 * visits)
-
-
-def covariance_gamma(model: SemiMarkovModel, grid: Grid,
-                     law: StationaryLaw | None = None) -> GridFunction:
+def covariance_gamma(model: SemiMarkovModel, grid: Grid) -> GridFunction:
     """Equilibrium covariance gamma(t) = sum_{i,j} i j nu_i (P*_t(i,j) - nu_j).
 
     Only i, j != 0 contribute.  The start states are summed with weights
@@ -445,11 +429,10 @@ def covariance_gamma(model: SemiMarkovModel, grid: Grid,
     gamma -> 0 exactly on the grid; the heavy-tail decay at large t is then
     visible instead of drowning under a constant discretization offset.
     """
-    law = law if law is not None else stationary_law(model)
-    states = list(model.space.states)
+    states = model.states
     active = [st for st in states if st != 0]
-    weights = (np.asarray(states, dtype=float) * law.nu)[None, :]
-    dev = _equilibrium_deviations(model, grid, law, active, weights)
+    weights = (np.asarray(states, dtype=float) * stationary_law(model).nu)[None, :]
+    dev = _equilibrium_deviations(model, grid, active, weights)
     gamma = np.asarray(active, dtype=float) @ dev[:, 0]
     return GridFunction(grid, gamma, kind="plain")
 

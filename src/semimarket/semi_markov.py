@@ -4,24 +4,27 @@ A model is (E, P, G): a finite integer state space E containing the inactive
 state 0, the embedded chain transition matrix P, and per-transition sojourn
 laws G(i,j,.).  Exits from state 0 are heavy-tailed with common index
 alpha in (1,2); the induced self-similarity exponent is H = (3-alpha)/2.
+
+The model owns its equilibrium law (pi, nu, m, eta, mu): `stationary_law`
+solves it on first request and keeps it on the model, read-only, so every
+routine that needs it asks the model instead of taking it as an argument.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import SojournLaw
 
 __all__ = [
-    "StateSpace",
-    "TransitionMatrix",
     "SemiMarkovModel",
     "StationaryLaw",
     "Trajectory",
     "validate_model",
     "stationary_law",
     "expected_visits_before_hit",
+    "tail_constant_Cj",
     "limit_constant_c2",
     "hurst_from_alpha",
     "sample_path",
@@ -33,80 +36,38 @@ __all__ = [
 _ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Ordered integer trading moods, containing the inactive state 0."""
+@dataclass(frozen=True, eq=False)
+class SemiMarkovModel:
+    """The model (E, P, G) and, once asked for, its equilibrium law.
+
+    states are distinct integer labels containing the inactive state 0; p is
+    the read-only embedded-chain matrix, indexed like states; sojourns maps
+    (i, j) state labels to the law of the holding time in i before a jump to
+    j.  Models compare by identity.
+    """
 
     states: tuple
+    p: np.ndarray
+    sojourns: dict
+    alpha: float | None = None
+    _law: StationaryLaw | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(int(s) for s in self.states)
+        if states != tuple(self.states):
+            raise ValueError(f"state labels must be integers, got {self.states!r}")
         if len(set(states)) != len(states):
             raise ValueError("state labels must be distinct")
         if 0 not in states:
             raise ValueError("state space must contain the inactive state 0")
         if len(states) < 2:
             raise ValueError("need at least two states")
-        object.__setattr__(self, "states", states)
-
-    @property
-    def size(self):
-        return len(self.states)
-
-    @property
-    def index_of_zero(self):
-        return self.states.index(0)
-
-    def index(self, label):
-        return self.states.index(label)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic embedded-chain matrix; off-diagonal entries positive."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
         p = np.array(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError("transition matrix must be square")
+        if p.shape != (len(states), len(states)):
+            raise ValueError("transition matrix must be square and match the state space size")
         p.setflags(write=False)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "p", p)
-
-    def violations(self):
-        out = []
-        rows = self.p.sum(axis=1)
-        for k, s in enumerate(rows):
-            if abs(s - 1.0) > _ROW_TOL:
-                out.append(f"row {k} of the transition matrix sums to {s!r}, not 1")
-        if np.any(self.p < 0.0):
-            out.append("transition matrix has negative entries")
-        elif not self._irreducible():
-            out.append("embedded chain is not irreducible: no unique stationary law")
-        return out
-
-    def _irreducible(self):
-        n = self.p.shape[0]
-        reach = (self.p > 0.0) | np.eye(n, dtype=bool)
-        for _ in range(n):
-            reach = reach @ reach
-        return bool(reach.all())
-
-
-@dataclass(frozen=True)
-class SemiMarkovModel:
-    """sojourns maps (i, j) state labels to the law of the holding time in i before a jump to j."""
-
-    space: StateSpace
-    chain: TransitionMatrix
-    sojourns: dict
-    alpha: float | None = None
-
-    def __post_init__(self):
-        n = self.space.size
-        if self.chain.p.shape != (n, n):
-            raise ValueError("transition matrix does not match the state space size")
         heavy = sorted({law.tail_index for law in self._zero_exit_laws() if law.is_heavy})
         if self.alpha is None and heavy:
             if len(heavy) > 1:
@@ -119,7 +80,7 @@ class SemiMarkovModel:
         return self.sojourns[(i, j)]
 
     def _zero_exit_laws(self):
-        return [self.sojourns[(0, j)] for j in self.space.states if (0, j) in self.sojourns]
+        return [self.sojourns[(0, j)] for j in self.states if (0, j) in self.sojourns]
 
     def hurst(self):
         if self.alpha is None:
@@ -135,18 +96,17 @@ class SemiMarkovModel:
         if self.alpha is None:
             raise ValueError("tail scale undefined without a heavy-tailed inactive state")
         t = np.asarray(t, dtype=float)
-        zero = self.space.index_of_zero
-        p = self.chain.p
+        zero = self.states.index(0)
         h0 = np.zeros_like(t)
-        for j_idx, j in enumerate(self.space.states):
-            if p[zero, j_idx] > 0.0:
-                h0 = h0 + p[zero, j_idx] * self.law(0, j).tail(t)
+        for j_idx, j in enumerate(self.states):
+            if self.p[zero, j_idx] > 0.0:
+                h0 = h0 + self.p[zero, j_idx] * self.law(0, j).tail(t)
         return t**self.alpha * h0
 
 
 @dataclass(frozen=True)
 class StationaryLaw:
-    """Every equilibrium quantity of the model, indexed like space.states."""
+    """Every equilibrium quantity of the model, indexed like its states."""
 
     states: tuple
     pi: np.ndarray
@@ -180,11 +140,16 @@ class Trajectory:
 
 def validate_model(model: SemiMarkovModel):
     """Return the list of assumption violations (empty when the model is admissible)."""
-    out = list(model.chain.violations())
-    states = model.space.states
-    for i in states:
-        for j in states:
-            if model.chain.p[model.space.index(i), model.space.index(j)] <= 0.0:
+    p, states = model.p, model.states
+    out = [f"row {k} of the transition matrix sums to {s!r}, not 1"
+           for k, s in enumerate(p.sum(axis=1)) if abs(s - 1.0) > _ROW_TOL]
+    if np.any(p < 0.0):
+        out.append("transition matrix has negative entries")
+    elif not _irreducible(p):
+        out.append("embedded chain is not irreducible: no unique stationary law")
+    for ii, i in enumerate(states):
+        for jj, j in enumerate(states):
+            if p[ii, jj] <= 0.0:
                 continue
             key = (i, j)
             if key not in model.sojourns:
@@ -205,19 +170,39 @@ def validate_model(model: SemiMarkovModel):
     return out
 
 
+def _irreducible(p):
+    n = p.shape[0]
+    reach = (p > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
 def stationary_law(model: SemiMarkovModel) -> StationaryLaw:
+    """The model's equilibrium law, solved on the first call and kept on the model.
+
+    Every caller shares the one StationaryLaw, so its arrays are read-only.
+    Raises LinAlgError when the embedded chain has no unique stationary law.
+    """
+    if model._law is None:
+        object.__setattr__(model, "_law", _solve_stationary_law(model))
+    return model._law
+
+
+def _solve_stationary_law(model):
     """Solve pi P = pi and assemble the occupation law, mean sojourns and recurrence times."""
-    p = model.chain.p
-    n = model.space.size
+    p = model.p
+    n = len(model.states)
     a = np.vstack([p.T - np.eye(n), np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = np.abs(pi @ p - pi).max()
+    if not _irreducible(p):
+        raise np.linalg.LinAlgError("embedded chain is not irreducible: no unique stationary law")
     if residual > 1e-10 or np.any(pi <= 0.0):
-        raise np.linalg.LinAlgError(
-            f"stationary solve failed (residual {residual:.2e}); chain not irreducible?")
-    states = model.space.states
+        raise np.linalg.LinAlgError(f"stationary solve failed (residual {residual:.2e})")
+    states = model.states
     m_cond = np.zeros((n, n))
     for ii, i in enumerate(states):
         for jj, j in enumerate(states):
@@ -227,6 +212,8 @@ def stationary_law(model: SemiMarkovModel) -> StationaryLaw:
     nu = pi * m / (pi @ m)
     eta = m / nu
     mu = float(np.array(states) @ nu)
+    for arr in (pi, nu, m, m_cond, eta):
+        arr.setflags(write=False)
     return StationaryLaw(states=states, pi=pi, nu=nu, m=m, m_cond=m_cond, eta=eta, mu=mu)
 
 
@@ -236,8 +223,8 @@ def expected_visits_before_hit(model: SemiMarkovModel, start, target):
     Starting at xi_0 = start; a visit at time 0 is not counted.  Computed from
     the fundamental matrix of the chain with `target` absorbing.
     """
-    p = model.chain.p
-    states = list(model.space.states)
+    p = model.p
+    states = list(model.states)
     t_idx = states.index(target)
     keep = [k for k in range(len(states)) if k != t_idx]
     sub = p[np.ix_(keep, keep)]
@@ -264,13 +251,13 @@ def hurst_from_alpha(alpha):
     return (3.0 - alpha) / 2.0
 
 
-def theorem_condition_value(model: SemiMarkovModel, law: StationaryLaw | None = None):
+def theorem_condition_value(model: SemiMarkovModel):
     """The product mu * sum_k k m_k / eta_k^2 whose positivity the limit theorem requires.
 
     Returns (holds, product, mu, sum); `holds` uses a relative zero threshold so
     exactly-centered models (mu = 0 up to roundoff) are reported as violations.
     """
-    law = law or stationary_law(model)
+    law = stationary_law(model)
     k = np.array(law.states, dtype=float)
     s = float((k * law.m / law.eta**2).sum())
     product = law.mu * s
@@ -279,25 +266,32 @@ def theorem_condition_value(model: SemiMarkovModel, law: StationaryLaw | None = 
     return holds, product, law.mu, s
 
 
-def limit_constant_c2(model: SemiMarkovModel):
-    """Limit constant c^2 = [mu sum_j j (m_j/eta_j^2) E N_j] / [2H(1-H)(2H-1)].
+def tail_constant_Cj(model: SemiMarkovModel, target):
+    """C_j = (m_j / eta_j^2) * E N_j for an active state j.
 
     E N_j is the expected number of inactive-state visits between successive
-    entrances to j.  Requires the positivity condition mu * sum_k k m_k/eta_k^2 > 0.
+    entrances to j.
     """
+    if target == 0:
+        raise ValueError("tail constant is defined for active states only (j != 0)")
     law = stationary_law(model)
-    holds, product, mu, s = theorem_condition_value(model, law)
+    jj = law.states.index(target)
+    visits = expected_visits_before_hit(model, target, target)
+    return float(law.m[jj] / law.eta[jj] ** 2 * visits)
+
+
+def limit_constant_c2(model: SemiMarkovModel):
+    """Limit constant c^2 = mu sum_j j C_j / [2H(1-H)(2H-1)], C_j from `tail_constant_Cj`.
+
+    Requires the positivity condition mu * sum_k k m_k/eta_k^2 > 0.
+    """
+    holds, product, mu, s = theorem_condition_value(model)
     if not holds:
         raise ValueError(
             f"limit-theorem condition violated: mu * sum_k k m_k/eta_k^2 = {product!r} "
             "must be strictly positive (fails e.g. for centered models with mu = 0)")
     h = model.hurst()
-    total = 0.0
-    for jj, j in enumerate(law.states):
-        if j == 0:
-            continue
-        visits = expected_visits_before_hit(model, j, j)
-        total += j * (law.m[jj] / law.eta[jj] ** 2) * visits
+    total = sum(j * tail_constant_Cj(model, j) for j in model.states if j != 0)
     c2 = mu * total / (2.0 * h * (1.0 - h) * (2.0 * h - 1.0))
     if not c2 > 0.0:
         raise ValueError(f"degenerate limit constant c^2 = {c2!r}")
@@ -329,7 +323,7 @@ def _sojourn_groups(model):
     (w = 1) when every row of the kernel has a single law, else in group
     i * w + j (w = number of states).
     """
-    states, p = model.space.states, model.chain.p
+    states, p = model.states, model.p
     rows = [[(jj, model.law(i, j)) for jj, j in enumerate(states) if p[ii, jj] > 0.0]
             for ii, i in enumerate(states)]
     if all(len({lw for _, lw in row}) <= 1 for row in rows):
@@ -338,8 +332,8 @@ def _sojourn_groups(model):
     return width, {ii * width + jj: lw for ii, row in enumerate(rows) for jj, lw in row}
 
 
-def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
-                law: StationaryLaw | None = None, stationary=True, initial_state=None):
+def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
+                initial_state=None):
     """The agent engine: n_agents independent copies of the process on [0, horizon).
 
     The first item yielded is the array of initial state indices xi_0.  Each
@@ -368,12 +362,12 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
 
     An array once yielded is never written again, so consumers may keep it.
     """
-    states = model.space.states
+    states = model.states
     n_states = len(states)
-    p = model.chain.p
+    p = model.p
     kernel_cum = _cumulative(p)
     if stationary:
-        law = law or stationary_law(model)
+        law = stationary_law(model)
         weights = p * law.m_cond
         start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
     elif initial_state is None:
@@ -383,7 +377,7 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
     if initial_state is None:
         cur = _pick(_cumulative(law.nu), rng.random(n_agents))
     else:
-        cur = np.full(n_agents, model.space.index(initial_state), dtype=np.int64)
+        cur = np.full(n_agents, states.index(initial_state), dtype=np.int64)
     yield cur.copy()
 
     nxt = np.empty(n_agents, dtype=np.int64)
@@ -425,17 +419,17 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng,
             agents, t, src, dst = agents[live], t[live], src[live], dst[live]
 
 
-def _trajectory(model, horizon, rng, law=None, stationary=True, initial_state=None):
+def _trajectory(model, horizon, rng, stationary=True, initial_state=None):
     """One agent's path from the engine: every jump round adds one segment."""
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
-    rounds = jump_rounds(model, 1, horizon, rng, law=law, stationary=stationary,
+    rounds = jump_rounds(model, 1, horizon, rng, stationary=stationary,
                          initial_state=initial_state)
     times, visited = [0.0], [int(next(rounds)[0])]
     for _, t, _, dst in rounds:
         times.append(float(t[0]))
         visited.append(int(dst[0]))
-    labels = np.array(model.space.states)
+    labels = np.array(model.states)
     return Trajectory(np.asarray(times), labels[visited], horizon)
 
 
@@ -444,14 +438,12 @@ def sample_path(model: SemiMarkovModel, initial_state, horizon, rng) -> Trajecto
     return _trajectory(model, horizon, rng, stationary=False, initial_state=initial_state)
 
 
-def sample_stationary_path(model: SemiMarkovModel, horizon, rng,
-                           law: StationaryLaw | None = None) -> Trajectory:
+def sample_stationary_path(model: SemiMarkovModel, horizon, rng) -> Trajectory:
     """Simulate under the stationary law: equilibrium initial triple, then the kernel."""
-    return _trajectory(model, horizon, rng, law=law)
+    return _trajectory(model, horizon, rng)
 
 
-def states_at_times(model: SemiMarkovModel, times, n_replicates, rng,
-                    initial_state=None, law: StationaryLaw | None = None):
+def states_at_times(model: SemiMarkovModel, times, n_replicates, rng, initial_state=None):
     """Vectorized marginal sampler: state of independent replicates at fixed times.
 
     Stationary initialisation throughout; `initial_state` conditions xi_0.
@@ -460,8 +452,8 @@ def states_at_times(model: SemiMarkovModel, times, n_replicates, rng,
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
     sorted_times = times[order]
-    labels = np.array(model.space.states)
-    rounds = jump_rounds(model, n_replicates, float(times.max()), rng, law=law,
+    labels = np.array(model.states)
+    rounds = jump_rounds(model, n_replicates, float(times.max()), rng,
                          initial_state=initial_state)
     out = np.repeat(labels[next(rounds)][:, None], times.size, axis=1)
     columns = np.arange(times.size)

@@ -38,8 +38,7 @@ def theorem_condition(model):
 
 # -- the reference agent engine ------------------------------------------------
 
-def reference_jump_rounds(model, n_agents, horizon, rng, law=None, stationary=True,
-                          initial_state=None):
+def reference_jump_rounds(model, n_agents, horizon, rng, stationary=True, initial_state=None):
     """Plain form of `semi_markov.jump_rounds` with the same draw order.
 
     It holds full-size state arrays and gathers the live agents each round:
@@ -47,12 +46,12 @@ def reference_jump_rounds(model, n_agents, horizon, rng, law=None, stationary=Tr
     group (state entered, or (entered, next) pair when some row has several
     laws) on its own consecutive uniforms, groups in ascending order.
     """
-    states = model.space.states
+    states = model.states
     n_states = len(states)
-    p = model.chain.p
+    p = model.p
     kernel_cum = _cumulative(p)
     if stationary:
-        law = law or stationary_law(model)
+        law = stationary_law(model)
         weights = p * law.m_cond
         start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
     else:
@@ -60,7 +59,7 @@ def reference_jump_rounds(model, n_agents, horizon, rng, law=None, stationary=Tr
     if initial_state is None:
         cur = _pick(_cumulative(law.nu), rng.random(n_agents))
     else:
-        cur = np.full(n_agents, model.space.index(initial_state), dtype=np.int64)
+        cur = np.full(n_agents, states.index(initial_state), dtype=np.int64)
     yield cur.copy()
 
     nxt = np.empty(n_agents, dtype=np.int64)

@@ -56,9 +56,9 @@ def test_fit_slope_rejects_bad_input():
 
 def test_model_from_dict_roundtrip():
     model = model_from_dict(EXAMPLE_A_MODEL)
-    assert model.space.states == (-1, 0, 1)
+    assert model.states == (-1, 0, 1)
     assert model.alpha == pytest.approx(1.5)
-    assert type(model.law(0, 1)) is Pareto  # no "slowly_varying": a pure power tail
+    assert type(model.law(0, 1)) is Pareto
 
 
 def test_model_config_edge_override():
@@ -69,10 +69,11 @@ def test_model_config_edge_override():
     assert model.law(0, -1).scale == 1.0
 
 
-def test_model_config_log_variant_promotes_family():
+def test_model_config_log_variant():
     from semimarket.distributions import ParetoLog
 
-    cfg = dict(EXAMPLE_A_MODEL, slowly_varying="log")
+    cfg = json.loads(json.dumps(EXAMPLE_A_MODEL))
+    cfg["sojourns"]["0"]["family"] = "pareto_log"
     model = model_from_dict(cfg)
     assert isinstance(model.law(0, 1), ParetoLog)
 
@@ -88,6 +89,16 @@ def test_model_config_errors():
     bad2["edges"] = {"zap": {"family": "exponential", "rate": 1.0}}
     with pytest.raises(ValueError, match="bad edge key"):
         model_from_dict(bad2)
+    bad3 = json.loads(json.dumps(EXAMPLE_A_MODEL))
+    bad3["states"] = [-1, 0, 1.7]
+    bad3["sojourns"]["1.7"] = bad3["sojourns"].pop("1")
+    with pytest.raises(ValueError, match="state labels must be integers"):
+        model_from_dict(bad3)
+    # a misspelled key would silently drop the override it was meant to carry
+    known = r"known: \['states', 'transitions', 'sojourns', 'edges'\]"
+    for key in ("edge", "slowly_varying"):
+        with pytest.raises(ValueError, match=rf"unknown model config keys \['{key}'\]; {known}"):
+            model_from_dict(dict(EXAMPLE_A_MODEL, **{key: {}}))
 
 
 def test_load_model_file(tmp_path):
@@ -106,7 +117,7 @@ def test_alpha_variant():
 def test_repo_config_files_load():
     for name in ("example_a", "asymmetric", "markov"):
         model = load_model(f"configs/{name}.json")
-        assert model.space.states == (-1, 0, 1)
+        assert model.states == (-1, 0, 1)
 
 
 # -- experiment spec / report -------------------------------------------------------
@@ -439,6 +450,11 @@ _BAD_COUNTS = (
     ("limit-verification", {"seeds": 0}, "seeds"),
     ("integral-identities", {"seeds": 0}, "seeds"),
     ("fbm-selftest", {"calib_seeds": 0}, "calib_seeds"),
+    ("fbm-selftest", {"cov_paths": 0}, "cov_paths"),
+    ("integral-identities", {"levels": 1}, "levels"),
+    ("key-renewal", {"ladder": []}, "ladder"),
+    ("key-renewal", {"ladder": [0.0, 1e3]}, "ladder"),
+    ("key-renewal", {"ladder": [1e2, 2e4]}, "ladder"),
 )
 
 

@@ -21,11 +21,11 @@ from semimarket.renewal import (
     solve_volterra,
     stationary_first_passage,
     stationary_transition,
-    tail_constant_Cj,
     variance_of_integral,
     write_grid_csv,
 )
-from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law
+from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law, \
+    tail_constant_Cj
 
 from oracles import of_state, renewal_function
 
@@ -124,9 +124,10 @@ def test_conv_stieltjes_against_direct_quadrature():
 
 
 def test_conv_stieltjes_atom():
+    # dF[0], an atom of F at t = 0, is ignored: a caller adds atom * g itself
     g = np.arange(5.0)
-    out = conv_stieltjes(np.zeros(5), g, atom0=2.0)
-    np.testing.assert_allclose(out, 2.0 * g)
+    out = conv_stieltjes(np.array([2.0, 0.0, 0.0, 0.0, 0.0]), g)
+    np.testing.assert_array_equal(out, np.zeros(5))
 
 
 def _volterra_forward(forcing, dk):
@@ -349,19 +350,18 @@ def _delayed_renewal(r_jj: GridFunction, f_ij: GridFunction) -> GridFunction:
     """R(i,j,t) = ∫_0^t R(j,j,t-u) F(i,j,du); a step of the P* oracle route."""
     df = np.zeros(f_ij.grid.n_points)
     df[1:] = np.diff(f_ij.values)
-    vals = conv_stieltjes(df, r_jj.values, atom0=float(f_ij.values[0]))
+    vals = conv_stieltjes(df, r_jj.values) + f_ij.values[0] * r_jj.values
     return GridFunction(r_jj.grid, vals, kind="plain")
 
 
 def test_delayed_and_stationary_renewal(example_a):
     g = Grid.for_horizon(50.0, 0.01)
-    law = stationary_law(example_a)
     fp = first_passage(example_a, g, 1)
     r11 = renewal_function(fp[1])
     r_delayed = _delayed_renewal(r11, fp[-1])
     assert r_delayed.values[0] == pytest.approx(0.0)
     assert np.all(np.diff(r_delayed.values) >= -1e-9)
-    fstar = stationary_first_passage(example_a, g, -1, 1, law=law)
+    fstar = stationary_first_passage(example_a, g, -1, 1)
     rstar = _delayed_renewal(r11, fstar)
     assert rstar.values[0] == pytest.approx(0.0)
     # both renewal measures share the 1/eta slope at large t
@@ -377,13 +377,12 @@ def test_stationary_first_passage_matches_mc():
     fstar = stationary_first_passage(model, g, 0, 1)
     # MC oracle: time of first visit to 1 from stationary start at 0
     rng = np.random.default_rng(3)
-    law = stationary_law(model)
     from semimarket.semi_markov import sample_stationary_path
 
     hits = []
     want = 4000
     while len(hits) < want:
-        traj = sample_stationary_path(model, 8.0, rng, law=law)
+        traj = sample_stationary_path(model, 8.0, rng)
         if traj.states[0] != 0:
             continue
         entered = traj.jump_times[traj.states == 1]
@@ -405,35 +404,34 @@ def test_stationary_first_passage_zero_at_origin(example_a):
 def test_stationary_fp_tail_constant(asym):
     # F̄*(i,j,t)/t^-alpha -> E[visits] for i, j != 0
     g = Grid.for_horizon(2000.0, 0.02)
-    law = stationary_law(asym)
-    fstar = stationary_first_passage(asym, g, -1, 1, law=law)
+    fstar = stationary_first_passage(asym, g, -1, 1)
     expected = expected_visits_before_hit(asym, -1, 1)
     ratio = (1.0 - fstar.at(1500.0)) / 1500.0**-1.5
     assert ratio == pytest.approx(expected, rel=0.12)
 
 
-def _stationary_transition_oracle(model, grid, law):
+def _stationary_transition_oracle(model, grid):
     """P*(i, j) as an (n, n, M) array by the renewal-measure route.
 
     R(j,j) from its renewal equation, R*(i,j) = R(j,j) * F*(i,j) by
     convolution, then P* = delta_ij s(i,.)/nu_i + h(j,.) * dR*(i,j).
     """
+    law = stationary_law(model)
     kernel = kernel_on_grid(model, grid)
-    states = list(model.space.states)
+    states = list(model.states)
     n = len(states)
-    pieces = _stationary_pieces(model, law, grid)
-    s = pieces[0]
+    s, _ = _stationary_pieces(model, grid)
     out = np.zeros((n, n, grid.n_points))
     for jj, j in enumerate(states):
         passage = first_passage(model, grid, j, kernel=kernel)
         r_jj = renewal_function(passage[j])
         for ii, i in enumerate(states):
-            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
-                                             law=law, pieces=pieces)
+            fstar = stationary_first_passage(model, grid, i, j)
             rstar = _delayed_renewal(r_jj, fstar)
             drs = np.zeros(grid.n_points)
             drs[1:] = np.diff(rstar.values)
-            out[ii, jj] = conv_stieltjes(drs, kernel.survival[jj], atom0=float(rstar.values[0]))
+            out[ii, jj] = (conv_stieltjes(drs, kernel.survival[jj])
+                           + rstar.values[0] * kernel.survival[jj])
             if ii == jj:
                 out[ii, jj] += s[ii] / law.nu[ii]
     return out
@@ -444,11 +442,10 @@ def _stationary_transition_oracle(model, grid, law):
 def test_stationary_transition_matches_renewal_route_oracle(request, name, horizon, dt):
     model = request.getfixturevalue(name)
     g = Grid.for_horizon(horizon, dt)
-    law = stationary_law(model)
-    ps = stationary_transition(model, g, law=law)
-    states = model.space.states
+    ps = stationary_transition(model, g)
+    states = model.states
     got = np.array([[ps[(i, j)].values for j in states] for i in states])
-    oracle = _stationary_transition_oracle(model, g, law)
+    oracle = _stationary_transition_oracle(model, g)
     assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
 
@@ -463,13 +460,13 @@ def test_stationary_transition_identity_at_zero(example_a):
 def test_stationary_transition_rows_and_mc(example_a):
     g = Grid.for_horizon(12.0, 0.005)
     law = stationary_law(example_a)
-    ps = stationary_transition(example_a, g, law=law)
+    ps = stationary_transition(example_a, g)
     rows = sum(ps[(1, j)].values for j in (-1, 0, 1))
     assert np.abs(rows - 1.0).max() < 10 * g.dt
     # MC oracle at a few times
     rng = np.random.default_rng(4)
     times = np.array([1.0, 5.0, 10.0])
-    marg = states_at_times(example_a, times, 40000, rng, initial_state=1, law=law)
+    marg = states_at_times(example_a, times, 40000, rng, initial_state=1)
     for ti, t_q in enumerate(times):
         frac = (marg[:, ti] == 1).mean()
         se = np.sqrt(frac * (1 - frac) / marg.shape[0])
@@ -493,8 +490,8 @@ def test_stationary_transition_decay_constant(asym):
     # (P*_t(i,j) - nu_j) / t^{1-alpha} -> C_j / (alpha - 1) for i, j != 0
     g = Grid.for_horizon(3000.0, 0.05)
     law = stationary_law(asym)
-    ps = stationary_transition(asym, g, law=law)
-    c1 = tail_constant_Cj(asym, 1, law=law)
+    ps = stationary_transition(asym, g)
+    c1 = tail_constant_Cj(asym, 1)
     t_q = 2500.0
     dev = ps[(-1, 1)].at(t_q) - of_state(law, law.nu, 1)
     predicted = c1 / 0.5 * t_q**-0.5
@@ -535,7 +532,7 @@ def test_tail_constant_scaling_under_doubled_means():
 def test_gamma_example_a_closed_form(example_a):
     g = Grid.for_horizon(10.0, 0.005)
     law = stationary_law(example_a)
-    gamma = covariance_gamma(example_a, g, law=law)
+    gamma = covariance_gamma(example_a, g)
     exact = 2.0 * of_state(law, law.nu, 1) * np.exp(-g.times())
     assert np.abs(gamma.values - exact).max() < 10.0 * g.dt
     assert gamma.values[0] == pytest.approx(0.25, abs=1e-6)
@@ -544,7 +541,7 @@ def test_gamma_example_a_closed_form(example_a):
 def test_gamma_zero_value_is_variance(asym):
     g = Grid.for_horizon(5.0, 0.005)
     law = stationary_law(asym)
-    gamma = covariance_gamma(asym, g, law=law)
+    gamma = covariance_gamma(asym, g)
     k = np.array(law.states, dtype=float)
     expected = float((k**2 * law.nu).sum() - law.mu**2)
     assert gamma.values[0] == pytest.approx(expected, abs=5e-3)
@@ -571,15 +568,15 @@ def test_gamma_tail_ratio_and_slope(asym):
     assert slope == pytest.approx(-0.5, abs=0.1)
 
 
-def _covariance_gamma_oracle(model, grid, law):
+def _covariance_gamma_oracle(model, grid):
     """gamma as the sum over active pairs (i, j) of i j nu_i (P*(i,j) - nu_j).
 
     One renewal solve per pair: w = z + dF(j,j) * w with z = dF*(i,j) * h(j,.).
     """
+    law = stationary_law(model)
     kernel = kernel_on_grid(model, grid)
-    states = list(model.space.states)
-    pieces = _stationary_pieces(model, law, grid)
-    s = pieces[0]
+    states = list(model.states)
+    s, _ = _stationary_pieces(model, grid)
     gamma = np.zeros(grid.n_points)
     for j in states:
         if j == 0:
@@ -591,8 +588,7 @@ def _covariance_gamma_oracle(model, grid, law):
         for ii, i in enumerate(states):
             if i == 0:
                 continue
-            fstar = stationary_first_passage(model, grid, i, j, passage=passage,
-                                             law=law, pieces=pieces)
+            fstar = stationary_first_passage(model, grid, i, j)
             dfs = np.zeros(grid.n_points)
             dfs[1:] = np.diff(fstar.values)
             z = conv_stieltjes(dfs, kernel.survival[jj])
@@ -605,9 +601,8 @@ def _covariance_gamma_oracle(model, grid, law):
 
 def test_gamma_matches_per_pair_oracle(asym):
     g = Grid.for_horizon(2000.0, 0.05)
-    law = stationary_law(asym)
-    gamma = covariance_gamma(asym, g, law=law).values
-    oracle = _covariance_gamma_oracle(asym, g, law)
+    gamma = covariance_gamma(asym, g).values
+    oracle = _covariance_gamma_oracle(asym, g)
     assert np.abs(gamma - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
 

@@ -10,7 +10,6 @@ from semimarket.experiments import LIMIT_MODEL, MARKOV_MODEL
 from semimarket.paths import SamplePath
 from semimarket.semi_markov import (
     SemiMarkovModel,
-    StateSpace,
     Trajectory,
     expected_visits_before_hit,
     hurst_from_alpha,
@@ -60,14 +59,28 @@ def asym():
 
 # -- types and validation ----------------------------------------------------
 
+def _bare_model(states, p=None):
+    p = np.full((len(states), len(states)), 1.0 / len(states)) if p is None else p
+    return SemiMarkovModel(states=states, p=p, sojourns={})
+
+
 def test_state_space_invariants():
+    with pytest.raises(ValueError, match="integers"):
+        _bare_model((-1, 0, 1.7))
     with pytest.raises(ValueError, match="distinct"):
-        StateSpace((0, 1, 1))
+        _bare_model((0, 1, 1))
     with pytest.raises(ValueError, match="inactive state 0"):
-        StateSpace((1, 2))
+        _bare_model((1, 2))
     with pytest.raises(ValueError, match="two states"):
-        StateSpace((0,))
-    assert StateSpace((-1, 0, 1)).index_of_zero == 1
+        _bare_model((0,))
+    with pytest.raises(ValueError, match="square"):
+        _bare_model((-1, 0, 1), p=np.full((3, 2), 0.5))
+    model = _bare_model((-1.0, 0, 1))
+    assert model.states == (-1, 0, 1) and all(type(s) is int for s in model.states)
+    with pytest.raises(ValueError, match="read-only"):
+        model.p[0, 0] = 0.0
+    # models compare by identity, not by their array fields
+    assert model == model and model != _bare_model((-1, 0, 1))
 
 
 def test_validate_example_a_clean(example_a):
@@ -118,8 +131,11 @@ def test_validate_flags_reducible_chain():
         "transitions": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
         "sojourns": EXAMPLE_A["sojourns"],
     }
-    out = validate_model(model_from_dict(cfg))
-    assert any("irreducible" in v for v in out)
+    model = model_from_dict(cfg)
+    assert any("irreducible" in v for v in validate_model(model))
+    # the law fails when asked for, not when the model is built
+    with pytest.raises(np.linalg.LinAlgError):
+        stationary_law(model)
 
 
 # -- stationary law -----------------------------------------------------------
@@ -136,18 +152,43 @@ def test_stationary_law_example_a(example_a):
 def test_stationary_law_identities(example_a, asym):
     for model in (example_a, asym):
         law = stationary_law(model)
-        np.testing.assert_allclose(law.pi @ model.chain.p, law.pi, atol=1e-10)
+        np.testing.assert_allclose(law.pi @ model.p, law.pi, atol=1e-10)
         assert law.pi.sum() == pytest.approx(1.0, abs=1e-12)
         # nu_j = m_j / eta_j componentwise
         np.testing.assert_allclose(law.nu, law.m / law.eta, atol=1e-12)
         # m_i = sum_j p_ij m_ij
-        np.testing.assert_allclose(law.m, (model.chain.p * law.m_cond).sum(axis=1))
+        np.testing.assert_allclose(law.m, (model.p * law.m_cond).sum(axis=1))
 
 
 def test_stationary_law_asymmetric_positive_drift(asym):
     law = stationary_law(asym)
     np.testing.assert_allclose(law.nu, [0.075, 0.75, 0.175], atol=1e-12)
     assert law.mu == pytest.approx(0.1)
+
+
+def test_model_solves_its_law_once(monkeypatch):
+    from semimarket.renewal import Grid, covariance_gamma, stationary_transition
+
+    solve = semi_markov._solve_stationary_law
+    solves = []
+
+    def counting(model):
+        solves.append(model)
+        return solve(model)
+
+    monkeypatch.setattr(semi_markov, "_solve_stationary_law", counting)
+    model = model_from_dict(ASYM)
+    grid = Grid.for_horizon(2.0, 0.01)
+    covariance_gamma(model, grid)
+    stationary_transition(model, grid)
+    states_at_times(model, [0.5, 1.0], 10, np.random.default_rng(0))
+    semi_markov.tail_constant_Cj(model, 1)
+    limit_constant_c2(model)
+    assert solves == [model]
+    law = stationary_law(model)
+    for values in (law.pi, law.nu, law.m, law.m_cond, law.eta):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 def test_occupation_fractions_match_nu_simulated(example_a):
@@ -174,8 +215,8 @@ def test_embedded_visit_frequencies_match_pi(example_a):
 def _visits_mc(model, start, target, n=200000, seed=2):
     # embedded-chain Monte Carlo oracle
     rng = np.random.default_rng(seed)
-    p = model.chain.p
-    states = list(model.space.states)
+    p = model.p
+    states = list(model.states)
     cum = np.cumsum(p, axis=1)
     total = 0
     for _ in range(n):
@@ -301,7 +342,7 @@ def test_stationary_marginal_matches_nu(example_a):
     law = stationary_law(example_a)
     rng = np.random.default_rng(17)
     times = np.array([0.0, 7.0, 15.0])
-    out = states_at_times(example_a, times, 30000, rng, law=law)
+    out = states_at_times(example_a, times, 30000, rng)
     for ti in range(times.size):
         freq = np.array([(out[:, ti] == s).mean() for s in (-1, 0, 1)])
         np.testing.assert_allclose(freq, law.nu, atol=0.012)
@@ -312,7 +353,7 @@ def _first_sojourns_from_zero(model, n_agents, seed):
     rounds = jump_rounds(model, n_agents, np.inf, np.random.default_rng(seed))
     next(rounds)
     _, t1, src, _ = next(rounds)
-    return t1[src == model.space.index(0)]
+    return t1[src == model.states.index(0)]
 
 
 def test_stationary_residual_sojourn_tail(example_a):
@@ -349,7 +390,7 @@ def test_engine_rounds_are_consistent(asym):
     rounds = jump_rounds(asym, 200, 50.0, np.random.default_rng(4))
     cur = next(rounds)
     last = np.zeros(200)
-    p = asym.chain.p
+    p = asym.p
     for agents, t, src, dst in rounds:
         np.testing.assert_array_equal(src, cur[agents])
         assert np.all(p[src, dst] > 0.0)
@@ -359,9 +400,10 @@ def test_engine_rounds_are_consistent(asym):
 
 # log-tailed exits from 0 with one law per edge and a uniform edge: rows with
 # several laws, so sojourns are grouped by (entered, next) pair
-PER_EDGE = dict(EXAMPLE_A, slowly_varying="log", edges={
-    "0->-1": {"family": "pareto", "scale": 0.5, "alpha": 1.5},
-    "0->1": {"family": "pareto", "scale": 2.0, "alpha": 1.5},
+PER_EDGE = dict(EXAMPLE_A, sojourns=dict(
+    EXAMPLE_A["sojourns"], **{"0": {"family": "pareto_log", "scale": 1.0, "alpha": 1.5}}), edges={
+    "0->-1": {"family": "pareto_log", "scale": 0.5, "alpha": 1.5},
+    "0->1": {"family": "pareto_log", "scale": 2.0, "alpha": 1.5},
     "-1->0": {"family": "uniform", "lo": 0.5, "hi": 1.5},
 })
 ENGINE_MODELS = {"example-a": EXAMPLE_A, "limit": LIMIT_MODEL, "markov": MARKOV_MODEL,
@@ -422,7 +464,7 @@ def test_states_at_times_time_invariance_chisquare(example_a):
     law = stationary_law(example_a)
     rng = np.random.default_rng(31)
     times = np.array([0.0, 10.0, 20.0])
-    out = states_at_times(example_a, times, 20000, rng, law=law)
+    out = states_at_times(example_a, times, 20000, rng)
     for ti in range(3):
         counts = np.array([(out[:, ti] == s).sum() for s in (-1, 0, 1)])
         res = chisquare(counts, f_exp=law.nu * counts.sum())
