@@ -128,25 +128,33 @@ class ExperimentSpec:
             if problems:
                 raise ValueError(f"invalid model: {'; '.join(problems)}")
         merged = {**defaults, **self.params}
-        _check_counts_and_times(merged)
+        _check_params(merged)
         if self.kind == "mixed-market":
             _check_rhos(merged)
 
 
-def _check_counts_and_times(p):
-    """Counts must reach their minimum and check times lie inside (0, horizon]."""
+def _check_params(p):
+    """Counts must be integers reaching their minimum, check times must lie in
+    (0, horizon] and Hurst values in (0, 1)."""
+    # calib_n: the Hurst estimators need 2^10 increments
     minimum = {"seeds": 1, "mc_replicates": 1, "stationarity_rep": 1, "stationarity_seeds": 1,
-               "calib_seeds": 1, "cov_paths": 1, "levels": 2}
+               "calib_seeds": 1, "cov_paths": 1, "levels": 2, "cov_n": 1, "calib_n": 2**10}
     for key, least in minimum.items():
-        if key in p and not int(p[key]) >= least:
-            raise ValueError(f"params.{key} must be at least {least}, got {p[key]!r}")
-    for key in ("t_checks", "ladder"):
-        times = p.get(key)
-        usable = isinstance(times, (list, tuple)) and times and all(
-            isinstance(t, (int, float)) and 0.0 < t <= p["horizon"] for t in times)
+        count = p.get(key)
+        integer = isinstance(count, int) and not isinstance(count, bool)
+        if key in p and not (integer and count >= least):
+            raise ValueError(f"params.{key} must be an integer of at least {least}, "
+                             f"got {count!r}")
+    ranges = [(key, f"times in (0, horizon = {p.get('horizon')}]",
+               lambda v: 0.0 < v <= p["horizon"]) for key in ("t_checks", "ladder")]
+    ranges += [(key, "Hurst values in (0, 1)", lambda v: 0.0 < v < 1.0)
+               for key in ("cov_hs", "calib_hs")]
+    for key, what, inside in ranges:
+        values = p.get(key)
+        usable = isinstance(values, (list, tuple)) and values and all(
+            isinstance(v, (int, float)) and inside(v) for v in values)
         if key in p and not usable:
-            raise ValueError(f"params.{key} needs one or more times in (0, horizon = "
-                             f"{p['horizon']}], got {times!r}")
+            raise ValueError(f"params.{key} needs one or more {what}, got {values!r}")
 
 
 def _check_rhos(p):
@@ -236,14 +244,14 @@ def _fbm_cov_cell(hurst, n_paths, n, seed):
     # t = 0 has zero variance, so every pick lies at index >= 1
     picks = np.maximum(np.linspace(n // 5, n, 5).astype(int), 1)
     dt = 1.0 / n
+    # B(pick * dt) = dt^H * (sum of the first `pick` fGn steps): one product reads
+    # the five values without building the paths
+    steps = dt**hurst * (np.arange(n)[:, None] < picks)
     rows = max(1, _CHUNK_VALUES // (2 * n))
     gram = np.zeros((picks.size, picks.size))
     for start in range(0, n_paths, rows):
         k = min(rows, n_paths - start)
-        paths = np.zeros((k, n + 1))  # column 0 is B(0) = 0
-        np.cumsum(fbm_mod.sample_fgn(hurst, n, rng, size=k) * dt**hurst, axis=1,
-                  out=paths[:, 1:])
-        samples = paths[:, picks]
+        samples = fbm_mod.sample_fgn(hurst, n, rng, size=k) @ steps
         gram += samples.T @ samples
     t = picks * dt
     exact = 0.5 * (t[:, None] ** (2 * hurst) + t[None, :] ** (2 * hurst)
@@ -315,7 +323,7 @@ def _one_market_hurst(args):
 
 def _replicate_hursts(model_dict, p, seed, scaling, threads):
     """Both Hurst estimates of each of the p["seeds"] replicates, and replicate 0's path."""
-    args = [(model_dict, p, seed, rep, scaling) for rep in range(int(p["seeds"]))]
+    args = [(model_dict, p, seed, rep, scaling) for rep in range(p["seeds"])]
     results = _pmap(_one_market_hurst, args, threads)
     return [r[0] for r in results], [r[1] for r in results], results[0][2]
 
@@ -384,7 +392,7 @@ def run_limit_verification(p, seed, model, threads):
     cells = [cell, var_cell]
     # optional sweep cells: informational medians along an (epsilon, N) grid
     for eps in p["sweep_epsilon"]:
-        q = dict(p, epsilon=eps, seeds=max(3, int(p["seeds"]) // 3))
+        q = dict(p, epsilon=eps, seeds=max(3, p["seeds"] // 3))
         h_v, h_a, _ = _replicate_hursts(model, q, seed, "fractional", threads)
         cells.append(_cell(
             f"sweep_eps_{eps:g}",
@@ -424,7 +432,7 @@ def run_renewal_tables(p, seed, model, threads):
     p11 = pstar[(1, 1)]
     rng = np.random.default_rng([seed, 11])
     t_checks = np.asarray(p["t_checks"], dtype=float)
-    marg = states_at_times(model_obj, t_checks, int(p["mc_replicates"]), rng,
+    marg = states_at_times(model_obj, t_checks, p["mc_replicates"], rng,
                            initial_state=1)
     verdicts = []
     mc_vals, num_vals = [], []
@@ -442,7 +450,7 @@ def run_renewal_tables(p, seed, model, threads):
     worst = float(np.abs(gamma.values - exact).max())
     verdicts.append(_verdict("gamma_vs_closed_form", worst, band=(0.0, 10.0 * grid.dt)))
     stat = stationarity_check(model_obj, [0.0, p["horizon"] / 2.0, p["horizon"]],
-                              int(p["stationarity_rep"]), int(p["stationarity_seeds"]),
+                              p["stationarity_rep"], p["stationarity_seeds"],
                               seed + 1)
     verdicts.append(_verdict("stationary_marginals_pvalue", stat["min_pvalue"],
                              band=(0.01, 1.0)))
@@ -486,7 +494,7 @@ def run_mixed_market(p, seed, model, threads):
     gamma_markov = rnw.covariance_gamma(markov_obj, mgrid)
     c2_sq = float(2.0 * np.trapezoid(gamma_markov.values, dx=mgrid.dt))
 
-    args = [(model, p, seed, rep) for rep in range(int(p["seeds"]))]
+    args = [(model, p, seed, rep) for rep in range(p["seeds"])]
     qv_active, qv_combined_ladder, qv_inert_ladder = zip(
         *_pmap(_one_mixed_replicate, args, threads))
     comb = np.mean(qv_combined_ladder, axis=0)
@@ -529,7 +537,7 @@ def run_integral_identities(p, seed, model, threads):
     # integration-by-parts refinement for smooth psi and fractional B
     shrink_ok = []
     worst_ratios = []
-    for s in range(int(p["seeds"])):
+    for s in range(p["seeds"]):
         path_rng = np.random.default_rng([seed, 2, s])
         bh = fbm_mod.sample_fbm(hurst, n, dt, path_rng)
         t = bh.times
@@ -546,7 +554,7 @@ def run_integral_identities(p, seed, model, threads):
     verdicts.append(_verdict("ibp_residual_shrinks", float(min(worst_ratios)),
                              band=(1.5, np.inf)))
     # discrete Cauchy-Schwarz at every level
-    ladder = int_mod.PartitionLadder(n_increments=n, n_levels=int(p["levels"]))
+    ladder = int_mod.PartitionLadder(n_increments=n, n_levels=p["levels"])
     w = fbm_mod.sample_fbm(0.5, n, dt, np.random.default_rng([seed, 3]))
     cv = int_mod.cross_variation(bh, w, ladder)
     cs_ok = all(level["cauchy_schwarz_ok"] for level in cv)

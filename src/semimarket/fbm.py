@@ -2,12 +2,13 @@
 
 The generator embeds the fractional-Gaussian-noise covariance in a 2n-point
 circulant (Davies-Harte, Wood-Chan), exact in law and O(n log n).  Its
-spectrum depends only on (H, n), so it is computed once by a real FFT and
-cached; k paths are one (k, 2n) normal draw and one real inverse FFT over the
-rows.  A Cholesky fallback covers n < 16 and embeddings with negative
-eigenvalues.  Two
-independent log-log regression estimators (aggregated variance, variogram)
-serve as the verification instruments for the scaling-limit experiments.
+spectrum depends only on (H, n), so its square root, with the FFT's sqrt(2n)
+and the 1/sqrt(2) of the complex pairs folded in, is computed once by a real
+FFT and cached; k paths are one (k, 2n) normal draw, one complex multiply by
+that root and one real inverse FFT over the rows.  A Cholesky fallback covers
+n < 16 and embeddings with negative eigenvalues.  Two independent log-log
+regression estimators (aggregated variance, variogram) serve as the
+verification instruments for the scaling-limit experiments.
 """
 from __future__ import annotations
 
@@ -56,16 +57,21 @@ def fgn_autocovariance(hurst, lag):
 
 @functools.lru_cache(maxsize=8)
 def _embedding_root(hurst, n):
-    """Read-only sqrt of the 2n circulant-embedding eigenvalues 0..n, or None.
+    """Read-only scaled sqrt of the 2n circulant-embedding eigenvalues 0..n, or None.
 
     The circulant is symmetric, so `rfft` gives its eigenvalues and the other
     n - 1 repeat these; None means the embedding is not nonnegative definite.
+    Entry k is sqrt(2n * eig_k), halved in variance (sqrt(n * eig_k)) for the
+    complex terms 0 < k < n, so one product with the normals is the spectrum
+    whose `irfft` is the path.
     """
     row = fgn_autocovariance(hurst, np.arange(n + 1))
     eig = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
     if eig.min() < -1e-8:
         return None
-    root = np.sqrt(np.clip(eig, 0.0, None))
+    scale = np.full(n + 1, float(n))
+    scale[[0, n]] = 2.0 * n
+    root = np.sqrt(np.clip(eig, 0.0, None) * scale)
     root.flags.writeable = False
     return root
 
@@ -86,11 +92,11 @@ def sample_fgn(hurst, n, rng, size=None):
         rows = rng.standard_normal((k, n)) @ chol.T
     else:
         g = rng.standard_normal((k, 2 * n))
-        z = np.empty((k, n + 1), dtype=complex)
-        z[:, 0] = g[:, 0]
-        z[:, n] = g[:, 1]
-        z[:, 1:n] = g[:, 2:].view(complex) / np.sqrt(2.0)
-        rows = np.sqrt(2 * n) * np.fft.irfft(root * z, 2 * n, axis=1)[:, :n]
+        spec = np.empty((k, n + 1), dtype=complex)
+        np.multiply(g.view(complex), root[:n], out=spec[:, :n])
+        spec[:, 0] = g[:, 0] * root[0]
+        spec[:, n] = g[:, 1] * root[n]
+        rows = np.fft.irfft(spec, 2 * n, axis=1)[:, :n]
     return rows[0] if size is None else rows
 
 

@@ -448,17 +448,22 @@ def states_at_times(model: SemiMarkovModel, times, n_replicates, rng, initial_st
 
     Stationary initialisation throughout; `initial_state` conditions xi_0.
     Returns an (n_replicates, len(times)) integer array of state labels.
+    A jump writes its new state once, at the first sorted time it reaches;
+    each agent's epochs grow round by round, so the last write there wins,
+    and one forward fill along the times completes the table.
     """
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
     sorted_times = times[order]
-    labels = np.array(model.states)
     rounds = jump_rounds(model, n_replicates, float(times.max()), rng,
                          initial_state=initial_state)
-    out = np.repeat(labels[next(rounds)][:, None], times.size, axis=1)
-    columns = np.arange(times.size)
+    # column 0 holds the start state, column c + 1 the state at sorted time c;
+    # -1 marks a column no jump reached
+    last = np.full((n_replicates, times.size + 1), -1, dtype=np.int64)
+    last[:, 0] = next(rounds)
     for agents, t, _, dst in rounds:
-        # the jump sets the state at every sampling time from its epoch on
-        later = columns >= np.searchsorted(sorted_times, t)[:, None]
-        out[agents] = np.where(later, labels[dst][:, None], out[agents])
-    return out[:, np.argsort(order)]
+        last[agents, np.searchsorted(sorted_times, t) + 1] = dst
+    columns = np.where(last >= 0, np.arange(times.size + 1), 0)
+    np.maximum.accumulate(columns, axis=1, out=columns)
+    filled = np.take_along_axis(last, columns, axis=1)
+    return np.array(model.states)[filled[:, np.argsort(order) + 1]]

@@ -2,15 +2,19 @@
 
 They live beside the tests because no experiment kind calls them: the exact
 integral of a one-agent trajectory, the renewal function, the equilibrium CDF,
-the drift-condition report, the goodness moments of an amplitude model and a
-reference agent engine whose random streams the package engine must reproduce.
+the drift-condition report, the goodness moments of an amplitude model, a
+reference agent engine whose random streams the package engine must reproduce,
+and the plain forms of the marginal sampler, the fGn assembly and the
+covariance self-test's path values that the package's faster forms must match.
 """
 import numpy as np
 
+from semimarket.fbm import fgn_autocovariance
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
 from semimarket.renewal import GridFunction, _renewal_solve
-from semimarket.semi_markov import _cumulative, _pick, stationary_law, theorem_condition_value
+from semimarket.semi_markov import _cumulative, _pick, jump_rounds, stationary_law, \
+    theorem_condition_value
 
 
 def of_state(law, vec, label):
@@ -106,6 +110,53 @@ def reference_jump_rounds(model, n_agents, horizon, rng, stationary=True, initia
                     sojourn[sub] = lw.sample(rng, sub.size)
         t_now[idx] += sojourn
         idx = idx[t_now[idx] < horizon]
+
+
+def reference_states_at_times(model, times, n_replicates, rng, initial_state=None):
+    """Plain form of `semi_markov.states_at_times` on the same engine rounds.
+
+    Every jump rewrites the agent's whole row from its epoch on.
+    """
+    times = np.asarray(times, dtype=float)
+    order = np.argsort(times)
+    sorted_times = times[order]
+    labels = np.array(model.states)
+    rounds = jump_rounds(model, n_replicates, float(times.max()), rng,
+                         initial_state=initial_state)
+    out = np.repeat(labels[next(rounds)][:, None], times.size, axis=1)
+    columns = np.arange(times.size)
+    for agents, t, _, dst in rounds:
+        later = columns >= np.searchsorted(sorted_times, t)[:, None]
+        out[agents] = np.where(later, labels[dst][:, None], out[agents])
+    return out[:, np.argsort(order)]
+
+
+# -- fractional Gaussian noise ---------------------------------------------------
+
+def reference_sample_fgn(hurst, n, rng, size=None):
+    """Plain form of the circulant branch of `fbm.sample_fgn` (n >= 16).
+
+    Unscaled root, complex pairs divided by sqrt(2) and sqrt(2n) applied to
+    the inverse FFT; same draws, so the same rows up to rounding.
+    """
+    k = 1 if size is None else size
+    row = fgn_autocovariance(hurst, np.arange(n + 1))
+    root = np.sqrt(np.clip(np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real, 0.0, None))
+    g = rng.standard_normal((k, 2 * n))
+    z = np.empty((k, n + 1), dtype=complex)
+    z[:, 0] = g[:, 0]
+    z[:, n] = g[:, 1]
+    z[:, 1:n] = g[:, 2:].view(complex) / np.sqrt(2.0)
+    rows = np.sqrt(2 * n) * np.fft.irfft(root * z, 2 * n, axis=1)[:, :n]
+    return rows[0] if size is None else rows
+
+
+def reference_fbm_picks(fgn, picks, hurst):
+    """B at grid indices `picks` from (k, n) fGn rows: the full cumulative paths, gathered."""
+    k, n = fgn.shape
+    paths = np.zeros((k, n + 1))  # column 0 is B(0) = 0
+    np.cumsum(fgn * (1.0 / n) ** hurst, axis=1, out=paths[:, 1:])
+    return paths[:, picks]
 
 
 # -- one trajectory ------------------------------------------------------------

@@ -455,7 +455,29 @@ _BAD_COUNTS = (
     ("key-renewal", {"ladder": []}, "ladder"),
     ("key-renewal", {"ladder": [0.0, 1e3]}, "ladder"),
     ("key-renewal", {"ladder": [1e2, 2e4]}, "ladder"),
+    # non-integer counts, and fbm-selftest sizes and Hurst lists the run cannot use
+    ("example-a", {"seeds": "x"}, "seeds"),
+    ("example-a", {"seeds": 2.5}, "seeds"),
+    ("renewal-tables", {"mc_replicates": "100"}, "mc_replicates"),
+    ("integral-identities", {"levels": True}, "levels"),
+    ("fbm-selftest", {"cov_n": 0}, "cov_n"),
+    ("fbm-selftest", {"cov_n": 2.5}, "cov_n"),
+    ("fbm-selftest", {"calib_n": 512}, "calib_n"),
+    ("fbm-selftest", {"calib_n": "16384"}, "calib_n"),
+    ("fbm-selftest", {"cov_hs": []}, "cov_hs"),
+    ("fbm-selftest", {"cov_hs": [1.5]}, "cov_hs"),
+    ("fbm-selftest", {"cov_hs": 0.75}, "cov_hs"),
+    ("fbm-selftest", {"calib_hs": [0.5, 0.0]}, "calib_hs"),
+    ("fbm-selftest", {"calib_hs": ["0.6"]}, "calib_hs"),
 )
+
+
+def test_spec_accepts_smallest_fbm_selftest_sizes():
+    # one increment per covariance path; 2^10 calibration increments give the
+    # estimators their five dyadic scales
+    params = {"cov_n": 1, "calib_n": 2**10, "cov_paths": 3, "cov_hs": [0.5],
+              "calib_hs": (0.05, 0.95)}
+    ExperimentSpec(kind="fbm-selftest", params=params)
 
 
 @pytest.mark.parametrize("kind, params, key", _BAD_COUNTS)

@@ -18,6 +18,8 @@ from semimarket import experiments
 from semimarket import fbm as fbm_mod
 from semimarket.paths import SamplePath
 
+from oracles import reference_fbm_picks, reference_sample_fgn
+
 
 def sample_mixed(hurst, delta, n, dt, rng) -> SamplePath:
     """Mixed path B^H + delta * W from independent fractional and Wiener streams."""
@@ -154,6 +156,48 @@ def test_batched_fgn_matches_per_path_draws(hurst, n):
     np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-14)
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize("size", [None, 4])
+@pytest.mark.parametrize("n", [16, 1024, 2**14])
+@pytest.mark.parametrize("hurst", [0.3, 0.75, 0.9])
+def test_fgn_matches_frozen_assembly(hurst, n, size):
+    # the pre-scaled root changes only the rounding of the same draws
+    rngs = [np.random.default_rng([23, n]) for _ in range(2)]
+    got = sample_fgn(hurst, n, rngs[0], size=size)
+    want = reference_sample_fgn(hurst, n, rngs[1], size=size)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("n", [16, 100, 1024])
+def test_cov_cell_picks_match_cumsum_route(n, monkeypatch):
+    # the cell's one product per chunk gives B at the picks that the full
+    # cumulative paths give
+    chunks, products = [], []
+
+    class RecordedRows(np.ndarray):
+        """fGn rows that keep each matrix product taken of them."""
+
+        def __matmul__(self, other):
+            out = np.asarray(self) @ other
+            products.append(out)
+            return out
+
+    def recorded(*args, **kwargs):
+        rows = sample_fgn(*args, **kwargs)
+        chunks.append(rows)
+        return rows.view(RecordedRows)
+
+    monkeypatch.setattr(experiments.fbm_mod, "sample_fgn", recorded)
+    hurst = 0.75
+    experiments._fbm_cov_cell(hurst, 1100, n, 7)  # at least two chunks at every n
+    picks = np.maximum(np.linspace(n // 5, n, 5).astype(int), 1)
+    assert len(products) == len(chunks) > 1
+    for rows, got in zip(chunks, products):
+        want = reference_fbm_picks(rows, picks, hurst)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
 
 def test_embedding_root_is_cached_and_read_only():

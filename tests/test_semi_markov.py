@@ -28,6 +28,7 @@ from oracles import (
     occupation_times,
     of_state,
     reference_jump_rounds,
+    reference_states_at_times,
 )
 
 EXAMPLE_A = {
@@ -456,6 +457,21 @@ def test_engine_samplers_match_reference(name, monkeypatch):
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+@pytest.mark.parametrize("initial_state", [None, 0, 1])
+@pytest.mark.parametrize("name", ENGINE_MODELS)
+def test_states_at_times_matches_reference(name, initial_state):
+    # one scatter per round plus a forward fill gives the table that rewriting
+    # every later time per jump gives; times unsorted, repeated, from 0 to the max
+    model = model_from_dict(ENGINE_MODELS[name])
+    times = np.array([12.5, 0.0, 7.0, 12.5, 0.0, 3.0, 30.0])
+    got, want = (sampler(model, times, 500, np.random.default_rng(41),
+                         initial_state=initial_state)
+                 for sampler in (states_at_times, reference_states_at_times))
+    assert got.shape == (500, times.size)
+    np.testing.assert_array_equal(got, want)
+    assert np.unique(got[:, [0, 1, 6]], axis=0).shape[0] > 1
 
 
 def test_states_at_times_time_invariance_chisquare(example_a):
