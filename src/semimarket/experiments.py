@@ -46,50 +46,23 @@ __all__ = [
 
 REPORT_SCHEMA_VERSION = "1"
 
-# reference models used by the built-in experiment defaults
-EXAMPLE_A_MODEL = {
-    "states": [-1, 0, 1],
-    "transitions": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
-    "sojourns": {
-        "-1": {"family": "exponential", "rate": 1.0},
-        "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5},
-        "1": {"family": "exponential", "rate": 1.0},
-    },
-}
-
-ASYMMETRIC_MODEL = {
-    "states": [-1, 0, 1],
-    "transitions": [[0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.0, 1.0, 0.0]],
-    "sojourns": {
-        "-1": {"family": "exponential", "rate": 1.0},
-        "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5},
-        "1": {"family": "exponential", "rate": 1.0},
-    },
-}
-
-MARKOV_MODEL = {
-    "states": [-1, 0, 1],
-    "transitions": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
-    "sojourns": {
-        "-1": {"family": "exponential", "rate": 1.0},
-        "0": {"family": "exponential", "rate": 1.0 / 3.0},
-        "1": {"family": "exponential", "rate": 1.0},
-    },
-}
+# reference models used by the built-in experiment defaults: moods -1, 0 and 1,
+# the active ones held Exp(1) before returning to 0, which moves down or up with
+# the weights `exits` after a sojourn of law `zero`
+def _three_moods(exits, zero):
+    active = {"family": "exponential", "rate": 1.0}
+    return {"states": [-1, 0, 1],
+            "transitions": [[0.0, 1.0, 0.0], [exits[0], 0.0, exits[1]], [0.0, 1.0, 0.0]],
+            "sojourns": {"-1": dict(active), "0": zero, "1": dict(active)}}
 
 
+EXAMPLE_A_MODEL = _three_moods((0.5, 0.5), {"family": "pareto", "scale": 1.0, "alpha": 1.5})
+ASYMMETRIC_MODEL = _three_moods((0.3, 0.7), {"family": "pareto", "scale": 1.0, "alpha": 1.5})
+MARKOV_MODEL = _three_moods((0.5, 0.5), {"family": "exponential", "rate": 1.0 / 3.0})
 # Asymmetric model whose limit constant dominates the covariance bulk already at
 # t ~ 10^2, so the fractional regime is reachable at desk-scale (eps, N); used by
 # the limit-verification defaults.  Pilot-calibrated; see README.
-LIMIT_MODEL = {
-    "states": [-1, 0, 1],
-    "transitions": [[0.0, 1.0, 0.0], [0.1, 0.0, 0.9], [0.0, 1.0, 0.0]],
-    "sojourns": {
-        "-1": {"family": "exponential", "rate": 1.0},
-        "0": {"family": "pareto", "scale": 0.5, "alpha": 1.5},
-        "1": {"family": "exponential", "rate": 1.0},
-    },
-}
+LIMIT_MODEL = _three_moods((0.1, 0.9), {"family": "pareto", "scale": 0.5, "alpha": 1.5})
 
 
 def alpha_variant(base, alpha):
@@ -134,17 +107,24 @@ class ExperimentSpec:
 
 
 def _check_params(p):
-    """Counts must be integers reaching their minimum, check times must lie in
-    (0, horizon] and Hurst values in (0, 1)."""
+    """Counts must be integers reaching their minimum, scales positive numbers,
+    check times must lie in (0, horizon], Hurst values in (0, 1), and grids
+    must fit the estimators and partition ladders run on them."""
     # calib_n: the Hurst estimators need 2^10 increments
     minimum = {"seeds": 1, "mc_replicates": 1, "stationarity_rep": 1, "stationarity_seeds": 1,
-               "calib_seeds": 1, "cov_paths": 1, "levels": 2, "cov_n": 1, "calib_n": 2**10}
+               "calib_seeds": 1, "cov_paths": 1, "levels": 2, "cov_n": 1, "calib_n": 2**10,
+               "n_agents": 1, "n_grid": 2, "min_lag": 1, "n": 2}
     for key, least in minimum.items():
         count = p.get(key)
         integer = isinstance(count, int) and not isinstance(count, bool)
         if key in p and not (integer and count >= least):
             raise ValueError(f"params.{key} must be an integer of at least {least}, "
                              f"got {count!r}")
+    for key in ("epsilon", "dt", "horizon", "hurst"):
+        value, top = p.get(key), 1 if key == "hurst" else np.inf
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if key in p and not (number and 0.0 < value < top):
+            raise ValueError(f"params.{key} must be a number in (0, {top}), got {value!r}")
     ranges = [(key, f"times in (0, horizon = {p.get('horizon')}]",
                lambda v: 0.0 < v <= p["horizon"]) for key in ("t_checks", "ladder")]
     ranges += [(key, "Hurst values in (0, 1)", lambda v: 0.0 < v < 1.0)
@@ -155,6 +135,12 @@ def _check_params(p):
             isinstance(v, (int, float)) and inside(v) for v in values)
         if key in p and not usable:
             raise ValueError(f"params.{key} needs one or more {what}, got {values!r}")
+    # market_hurst fits 5 dyadic lags from min_lag to n_grid // 16, on 2^10 increments
+    if "min_lag" in p and not (p["n_grid"] > 2**10 and 16 * p["min_lag"] <= p["n_grid"] // 16):
+        raise ValueError(f"params.n_grid = {p['n_grid']} gives fewer than 2^10 increments or "
+                         f"5 dyadic lags from min_lag = {p['min_lag']} to n_grid // 16")
+    if "levels" in p and "n" in p and p["n"] % 2 ** (p["levels"] - 1):
+        raise ValueError(f"params.n = {p['n']} must be divisible by 2^(levels - 1)")
 
 
 def _check_rhos(p):

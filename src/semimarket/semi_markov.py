@@ -397,20 +397,24 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
                 t_now[sub] = draw(rng, hits)
 
     width, group_law = _sojourn_groups(model)
-    key_type = np.min_scalar_type(width * n_states)  # a narrow key sorts by radix
+    n_keys = width * n_states
+    key_type = np.min_scalar_type(n_keys)  # a narrow key sorts by radix
+    ppfs = [group_law[g].ppf if g in group_law else None for g in range(n_keys)]
+    columns = [np.ascontiguousarray(column) for column in kernel_cum[:, :-1].T]
     live = np.flatnonzero(t_now < horizon)
     agents, t, src, dst = live, t_now[live], cur[live], nxt[live]
     while agents.size:
         yield agents, t, src, dst
         n = agents.size
         u = rng.random(2 * n)
-        nxt = sum(u[:n] >= column[dst] for column in kernel_cum[:, :-1].T)
+        nxt = sum(u[:n] >= column[dst] for column in columns)
         key = (dst if width == 1 else dst * width + nxt).astype(key_type)
-        counts = np.bincount(key)
-        stops = n + np.cumsum(counts)
-        for g in np.flatnonzero(counts):
-            span = slice(stops[g] - counts[g], stops[g])
-            u[span] = group_law[g].ppf(u[span])
+        # the groups' spans of u[n:], in Python ints: cheaper than numpy scalars
+        start = n
+        for ppf, count in zip(ppfs, np.bincount(key, minlength=n_keys).tolist()):
+            if count:
+                u[start:start + count] = ppf(u[start:start + count])
+                start += count
         sojourn = np.empty(n)
         sojourn[np.argsort(key, kind="stable")] = u[n:]
         src, dst, t = dst, nxt, t + sojourn

@@ -469,6 +469,23 @@ _BAD_COUNTS = (
     ("fbm-selftest", {"cov_hs": 0.75}, "cov_hs"),
     ("fbm-selftest", {"calib_hs": [0.5, 0.0]}, "calib_hs"),
     ("fbm-selftest", {"calib_hs": ["0.6"]}, "calib_hs"),
+    # market sizes, scales and grids, renewal steps and integral-identities paths
+    ("example-a", {"n_agents": 0}, "n_agents"),
+    ("mixed-market", {"n_agents": 0}, "n_agents"),
+    ("markov-baseline", {"epsilon": 0}, "epsilon"),
+    ("limit-verification", {"epsilon": "1e-3"}, "epsilon"),
+    ("renewal-tables", {"dt": True}, "dt"),
+    ("example-a", {"n_grid": 100}, "n_grid"),
+    ("markov-baseline", {"n_grid": 2**10}, "n_grid"),
+    ("limit-verification", {"n_grid": 2**14 - 1, "min_lag": 64}, "n_grid"),
+    ("example-a", {"min_lag": 0}, "min_lag"),
+    ("renewal-tables", {"dt": 0}, "dt"),
+    ("key-renewal", {"dt": -0.05}, "dt"),
+    ("renewal-tables", {"horizon": 0.0}, "horizon"),
+    ("integral-identities", {"hurst": 1.5}, "hurst"),
+    ("integral-identities", {"hurst": 0}, "hurst"),
+    ("integral-identities", {"n": 100}, "n"),
+    ("integral-identities", {"n": 2**12, "levels": 14}, "n"),
 )
 
 
@@ -478,6 +495,14 @@ def test_spec_accepts_smallest_fbm_selftest_sizes():
     params = {"cov_n": 1, "calib_n": 2**10, "cov_paths": 3, "cov_hs": [0.5],
               "calib_hs": (0.05, 0.95)}
     ExperimentSpec(kind="fbm-selftest", params=params)
+
+
+def test_spec_accepts_smallest_market_grids():
+    # 16 * min_lag = n_grid // 16 leaves exactly five dyadic lags; 2^10 + 1
+    # points give the estimators their 2^10 increments
+    for n_grid, min_lag in ((2**10 + 1, 4), (2**14, 64), (2**14 + 1, 64)):
+        ExperimentSpec(kind="example-a", params={"n_grid": n_grid, "min_lag": min_lag})
+    ExperimentSpec(kind="integral-identities", params={"n": 24, "levels": 4, "hurst": 0.01})
 
 
 @pytest.mark.parametrize("kind, params, key", _BAD_COUNTS)

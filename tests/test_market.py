@@ -181,10 +181,14 @@ def test_binner_matches_sorted_aggregation_oracle(monkeypatch):
     grid = np.linspace(0.0, 8.0, 257) / 0.01
     t = rng.uniform(0.0, grid[-1], 20000)
     t[:5] = grid[[1, 2, 2, 100, 255]]                   # events on grid points
-    d = rng.choice([-2.0, -1.0, 1.0, 2.0], t.size)
-    binner = market._GridBinner(grid)
+    t[5:10] = np.nextafter(grid[[0, 1, 2, 100, 255]], np.inf)   # and just past them
+    # moves from state 0 (label 0) to states labelled -2, -1, 1, 2
+    labels = np.array([0.0, -2.0, -1.0, 1.0, 2.0])
+    src, dst = np.zeros(t.size, dtype=np.intp), rng.integers(1, 5, t.size)
+    d = labels[dst]
+    binner = market._GridBinner(grid, labels)
     for part in np.array_split(np.arange(t.size), 13):
-        binner.add(t[part], d[part])
+        binner.add(t[part], src[part], dst[part])
     cum, rate = binner.occupation(3.0)
     ref_cum, ref_rate = _argsort_occupation(3.0, t, d, grid[-1], grid)
     np.testing.assert_array_equal(rate, ref_rate)
@@ -211,6 +215,28 @@ def test_market_memory_does_not_grow_with_the_event_count():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("flush_events", [3000, 1 << 20])
+def test_occupation_does_not_depend_on_the_flush_size(monkeypatch, flush_events):
+    # the flush boundaries only regroup the per-cell sums
+    cfg = small_cfg(EXAMPLE_A, n_agents=200, epsilon=1e-2, n_grid=1025)
+    cum, rate = market._aggregate_occupation(cfg, 5, 1)
+    monkeypatch.setattr(market, "_FLUSH_EVENTS", flush_events)
+    other_cum, other_rate = market._aggregate_occupation(cfg, 5, 1)
+    np.testing.assert_array_equal(other_rate, rate)
+    np.testing.assert_allclose(other_cum, cum, rtol=1e-12, atol=0.0)
+
+
+def test_market_memory_at_the_benchmark_size():
+    # 2 M agent events at N = 1000, eps = 1e-3, T = 4: the grid's arrays and one
+    # cache-sized event buffer, a few MB in all
+    cfg = small_cfg(EXAMPLE_A, n_agents=1000, epsilon=1e-3, horizon=4.0, n_grid=2**14 + 1)
+    tracemalloc.start()
+    simulate_market(cfg)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_determinism_bit_identical():
