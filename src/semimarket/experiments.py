@@ -4,10 +4,10 @@ Each experiment kind bundles one verification pipeline (generator self-test,
 market scaling limits, renewal tables, integral identities, ...) into cells
 with named verdicts against quantitative bands.  `EXPERIMENT_KINDS` defines
 each kind by its runner, default model and default params; a spec may
-override only those params, and its model is validated when it is built.
-`run` merges the defaults once, writes report.json (which records the model
-and params that ran) plus CSV artifacts, and is deterministic given
-(spec, seed).
+override only those params.  A spec validates its model and checks its
+merged params against `_PARAM_CHECKS` when it is built; `run` hands those
+params to the runner, writes report.json (which records the model and params
+that ran) plus CSV artifacts, and is deterministic given (spec, seed).
 """
 from __future__ import annotations
 
@@ -82,6 +82,7 @@ class ExperimentSpec:
     seed: int = 7041
     out_dir: str | None = None
     threads: int = 1
+    merged_params: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -101,56 +102,79 @@ class ExperimentSpec:
             if problems:
                 raise ValueError(f"invalid model: {'; '.join(problems)}")
         merged = {**defaults, **self.params}
-        _check_params(merged)
-        if self.kind == "mixed-market":
-            _check_rhos(merged)
+        for key, (what, usable) in _PARAM_CHECKS.items():
+            if key in merged and not usable(merged[key], merged):
+                raise ValueError(f"params.{key} must be {what}, got {merged[key]!r}")
+        self.merged_params = merged
 
 
-def _check_params(p):
-    """Counts must be integers reaching their minimum, scales positive numbers,
-    check times must lie in (0, horizon], Hurst values in (0, 1), and grids
-    must fit the estimators and partition ladders run on them."""
-    # calib_n: the Hurst estimators need 2^10 increments
-    minimum = {"seeds": 1, "mc_replicates": 1, "stationarity_rep": 1, "stationarity_seeds": 1,
-               "calib_seeds": 1, "cov_paths": 1, "levels": 2, "cov_n": 1, "calib_n": 2**10,
-               "n_agents": 1, "n_grid": 2, "min_lag": 1, "n": 2}
-    for key, least in minimum.items():
-        count = p.get(key)
-        integer = isinstance(count, int) and not isinstance(count, bool)
-        if key in p and not (integer and count >= least):
-            raise ValueError(f"params.{key} must be an integer of at least {least}, "
-                             f"got {count!r}")
-    for key in ("epsilon", "dt", "horizon", "hurst"):
-        value, top = p.get(key), 1 if key == "hurst" else np.inf
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if key in p and not (number and 0.0 < value < top):
-            raise ValueError(f"params.{key} must be a number in (0, {top}), got {value!r}")
-    ranges = [(key, f"times in (0, horizon = {p.get('horizon')}]",
-               lambda v: 0.0 < v <= p["horizon"]) for key in ("t_checks", "ladder")]
-    ranges += [(key, "Hurst values in (0, 1)", lambda v: 0.0 < v < 1.0)
-               for key in ("cov_hs", "calib_hs")]
-    for key, what, inside in ranges:
-        values = p.get(key)
-        usable = isinstance(values, (list, tuple)) and values and all(
-            isinstance(v, (int, float)) and inside(v) for v in values)
-        if key in p and not usable:
-            raise ValueError(f"params.{key} needs one or more {what}, got {values!r}")
+def _number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v, least):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+def _numbers(v, inside, least=1):
+    return isinstance(v, (list, tuple)) and len(v) >= least and all(
+        _number(x) and inside(x) for x in v)
+
+
+def _pair(v, high=np.inf):
+    """v is a [low, high] pair of numbers with low <= high <= `high`."""
+    return _numbers(v, lambda x: x <= high, 2) and len(v) == 2 and v[0] <= v[1]
+
+
+def _count(least):
+    return f"an integer of at least {least}", lambda v, p: _integer(v, least)
+
+
+_POSITIVE = ("a number in (0, inf)", lambda v, p: _number(v) and 0.0 < v < np.inf)
+_PAIR = ("a [low, high] pair of numbers with low <= high", lambda v, p: _pair(v))
+_TIMES = ("one or more times in (0, horizon]",
+          lambda v, p: _numbers(v, lambda t: 0.0 < t <= p["horizon"]))
+_HURSTS = ("one or more Hurst values in (0, 1)", lambda v, p: _numbers(v, lambda h: 0.0 < h < 1.0))
+
+# param name -> (what it must be, predicate(value, merged params)), checked in
+# this order: a predicate reads only params checked above it, and each param
+# means the same in every kind that has it
+_PARAM_CHECKS = {
+    **{key: _count(1) for key in ("seeds", "mc_replicates", "stationarity_rep",
+                                  "stationarity_seeds", "calib_seeds", "cov_paths", "cov_n",
+                                  "n_agents", "min_lag")},
+    "calib_n": _count(2**10),  # the Hurst estimators need 2^10 increments
+    "levels": _count(2),
+    "n": ("an integer of at least 2 divisible by 2^(levels - 1)",
+          lambda v, p: _integer(v, 2) and p["levels"] <= v.bit_length()
+          and v % 2 ** (p["levels"] - 1) == 0),
     # market_hurst fits 5 dyadic lags from min_lag to n_grid // 16, on 2^10 increments
-    if "min_lag" in p and not (p["n_grid"] > 2**10 and 16 * p["min_lag"] <= p["n_grid"] // 16):
-        raise ValueError(f"params.n_grid = {p['n_grid']} gives fewer than 2^10 increments or "
-                         f"5 dyadic lags from min_lag = {p['min_lag']} to n_grid // 16")
-    if "levels" in p and "n" in p and p["n"] % 2 ** (p["levels"] - 1):
-        raise ValueError(f"params.n = {p['n']} must be divisible by 2^(levels - 1)")
-
-
-def _check_rhos(p):
-    """mixed-market compares its first two rhos and needs active agents at each."""
-    rhos, n_agents = p["rhos"], int(p["n_agents"])
-    if not isinstance(rhos, (list, tuple)) or len(rhos) < 2:
-        raise ValueError(f"params.rhos needs at least two values, got {rhos!r}")
-    empty = [rho for rho in rhos if round(rho * n_agents) < 1]
-    if empty:
-        raise ValueError(f"params.rhos {empty} give no active agent at n_agents = {n_agents}")
+    "n_grid": ("an integer of at least 2 and, with min_lag, above 2^10 with 5 dyadic lags "
+               "from min_lag to n_grid // 16", lambda v, p: _integer(v, 2) and (
+                   "min_lag" not in p or (v > 2**10 and 16 * p["min_lag"] <= v // 16))),
+    **{key: _POSITIVE for key in ("epsilon", "dt", "horizon", "renewal_dt", "renewal_horizon",
+                                  "c2_dt", "c2_horizon", "scale")},
+    "hurst": ("a number in (0, 1)", lambda v, p: _number(v) and 0.0 < v < 1.0),
+    "alpha": ("a number in (1, 2)", lambda v, p: _number(v) and 1.0 < v < 2.0),
+    "t_checks": _TIMES,
+    "ladder": _TIMES,
+    "cov_hs": _HURSTS,
+    "calib_hs": _HURSTS,
+    "band": _PAIR,
+    "slope_band": _PAIR,
+    "slope_window": ("a [low, high] pair with 0 < low < high <= renewal_horizon",
+                     lambda v, p: _pair(v, p["renewal_horizon"]) and 0.0 < v[0] < v[1]),
+    "sweep_epsilon": ("a possibly empty list of numbers in (0, inf)",
+                      lambda v, p: _numbers(v, lambda e: 0.0 < e < np.inf, least=0)),
+    # mixed-market compares its first two rhos, each with round(rho * n_agents) >= 1
+    "rhos": ("two or more numbers with rho * n_agents > 0.5, so each has an active agent",
+             lambda v, p: _numbers(v, lambda r: 0.5 < r * p["n_agents"] < np.inf, least=2)),
+    # the runner reads [-1] as the finest block and [-3:] as the finest three
+    "qv_blocks": ("three or more strictly decreasing integers that divide n_grid - 1",
+                  lambda v, p: isinstance(v, (list, tuple)) and len(v) >= 3
+                  and all(_integer(b, 1) and (p["n_grid"] - 1) % b == 0 for b in v)
+                  and all(a > b for a, b in zip(v, v[1:]))),
+}
 
 
 _SPEC_KEYS = ("kind", "model", "params", "seed", "out", "threads")
@@ -292,9 +316,9 @@ def run_fbm_selftest(p, seed, model, threads):
 
 def _market_config(model_dict, p, seed):
     """Unit-amplitude market of the model with the params' size and scale."""
-    return mkt.MarketConfig(model=model_from_dict(model_dict), n_agents=int(p["n_agents"]),
-                            epsilon=float(p["epsilon"]), amplitude=mkt.AmplitudeModel(),
-                            horizon=float(p["horizon"]), seed=seed, n_grid=int(p["n_grid"]))
+    return mkt.MarketConfig(model=model_from_dict(model_dict), n_agents=p["n_agents"],
+                            epsilon=p["epsilon"], amplitude=mkt.AmplitudeModel(),
+                            horizon=p["horizon"], seed=seed, n_grid=p["n_grid"])
 
 
 def _one_market_hurst(args):
@@ -303,7 +327,7 @@ def _one_market_hurst(args):
     cfg = _market_config(model_dict, p, seed)
     simulate = mkt.markov_market if scaling == "markov" else mkt.simulate_market
     agg = simulate(cfg, replicate=replicate)
-    vario, aggvar = market_hurst(agg.path(), min_lag=int(p["min_lag"]))
+    vario, aggvar = market_hurst(agg.path(), min_lag=p["min_lag"])
     return vario.h_hat, aggvar.h_hat, agg if replicate == 0 else None
 
 
@@ -400,9 +424,7 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
     for s in range(seeds):
         rng = np.random.default_rng([base_seed, s])
         out = states_at_times(model, times, n_rep, rng)
-        for ti in range(len(times)):
-            for li, lab in enumerate(labels):
-                counts[ti, li] += np.sum(out[:, ti] == lab)
+        counts += (out[:, :, None] == labels).sum(axis=0)
     total = counts.sum(axis=1, keepdims=True)
     expected = stationary_law(model).nu[None, :] * total
     stat = ((counts - expected) ** 2 / expected).sum(axis=1)
@@ -460,7 +482,7 @@ def _one_mixed_replicate(args):
     """
     model_dict, p, seed, replicate = args
     cfg = _market_config(model_dict, p, seed)
-    blocks = tuple(int(b) for b in p["qv_blocks"])
+    blocks = p["qv_blocks"]
     inert, actives = mkt.mixed_market(cfg, p["rhos"], model_from_dict(MARKOV_MODEL),
                                       replicate=replicate)
     qv_active = [fbm_mod.quadratic_variation(SamplePath(cfg.dt, active.x_scaled),
@@ -473,7 +495,6 @@ def _one_mixed_replicate(args):
 
 def run_mixed_market(p, seed, model, threads):
     markov_obj = model_from_dict(MARKOV_MODEL)
-    blocks = tuple(int(b) for b in p["qv_blocks"])
 
     # c2^2 = 2 * ∫ gamma_markov for the active block's Wiener coefficient
     mgrid = rnw.Grid.for_horizon(p["c2_horizon"], p["c2_dt"])
@@ -504,14 +525,14 @@ def run_mixed_market(p, seed, model, threads):
     ]
     metrics = {"c2_sq": c2_sq, "qv_combined_ladder": comb.tolist(),
                "qv_inert_ladder": inrt.tolist(), "qv_active_means": act_means,
-               "blocks": list(blocks)}
+               "blocks": list(p["qv_blocks"])}
     return [_cell("mixed_market", metrics, verdicts)], {}
 
 
 # -- integral identities -----------------------------------------------------------
 
 def run_integral_identities(p, seed, model, threads):
-    n, hurst = int(p["n"]), float(p["hurst"])
+    n, hurst = p["n"], p["hurst"]
     dt = 1.0 / n
     rng = np.random.default_rng([seed, 1])
     rough = SamplePath(dt, np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))]))
@@ -557,7 +578,7 @@ def run_integral_identities(p, seed, model, threads):
 def run_key_renewal(p, seed, model, threads):
     from .distributions import Pareto
 
-    law = Pareto(scale=float(p["scale"]), alpha=float(p["alpha"]))
+    law = Pareto(scale=p["scale"], alpha=p["alpha"])
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
     z = rnw.GridFunction(grid, np.exp(-grid.times()), kind="plain")
     h_num, h_pred, info = rnw.key_renewal_asymptote(law, z, grid)
@@ -649,8 +670,8 @@ def run(spec: ExperimentSpec) -> dict:
     spec's) and `seed` make a spec that replays the run.
     """
     t0 = time.perf_counter()
-    runner, default_model, defaults = EXPERIMENT_KINDS[spec.kind]
-    params = {**defaults, **spec.params}
+    runner, default_model, _ = EXPERIMENT_KINDS[spec.kind]
+    params = spec.merged_params
     model = default_model if spec.model is None else spec.model
     cells, artifacts = runner(params, spec.seed, model, spec.threads)
     passed = all(v["passed"] for c in cells for v in c["verdicts"])

@@ -132,13 +132,26 @@ def fit_line(x, y):
     return float(coef[0]), float(coef[1]), stderr, r2
 
 
-def _dyadic_scales(start, stop):
-    scales = []
-    s = start
-    while s <= stop:
-        scales.append(s)
-        s *= 2
-    return np.array(scales, dtype=int)
+def _loglog_hurst(n, min_scale, max_scale, moment, h_at_zero_slope, method):
+    """Hurst estimate from the log-log OLS slope of `moment` on dyadic scales.
+
+    `n` samples must reach 2^10; the scales double from `min_scale` to
+    `max_scale` (default n // 32), and H = h_at_zero_slope + slope / 2.
+    """
+    if n < 2**10:
+        raise ValueError("need at least 2^10 samples for a stable estimate")
+    scales = [min_scale]
+    while 2 * scales[-1] <= (max_scale or n // 32):
+        scales.append(2 * scales[-1])
+    scales = np.array(scales)
+    if scales.size < 5:
+        raise ValueError(f"fewer than 5 dyadic scales available for the {method}")
+    moments = np.array([moment(s) for s in scales])
+    if np.any(moments <= 0.0):
+        raise ValueError(f"degenerate path: zero {method} moment")
+    slope, _, stderr, r2 = fit_line(np.log(scales), np.log(moments))
+    return HurstEstimate(h_hat=h_at_zero_slope + slope / 2.0, stderr=stderr / 2.0,
+                         method=method, r_squared=r2, n_scales=scales.size)
 
 
 def hurst_aggregated_variance(path: SamplePath, min_block=1, max_block=None) -> HurstEstimate:
@@ -149,42 +162,20 @@ def hurst_aggregated_variance(path: SamplePath, min_block=1, max_block=None) -> 
     taken as mean zero, so a deterministic drift shows up as a poor R^2.
     """
     inc = np.diff(path.values)
-    n = inc.size
-    if n < 2**10:
-        raise ValueError("need at least 2^10 samples for a stable estimate")
-    max_block = max_block or n // 32
-    scales = _dyadic_scales(min_block, max_block)
-    if scales.size < 5:
-        raise ValueError("fewer than 5 dyadic scales available")
-    moments = []
-    for m in scales:
-        k = n // m
-        means = inc[: k * m].reshape(k, m).mean(axis=1)
-        moments.append(np.mean(means**2))
-    moments = np.asarray(moments)
-    if np.any(moments <= 0.0):
-        raise ValueError("degenerate path: zero block variance")
-    slope, _, stderr, r2 = fit_line(np.log(scales), np.log(moments))
-    return HurstEstimate(h_hat=1.0 + slope / 2.0, stderr=stderr / 2.0,
-                         method="aggregated_variance", r_squared=r2, n_scales=scales.size)
+
+    def block_moment(m):
+        k = inc.size // m
+        return np.mean(inc[: k * m].reshape(k, m).mean(axis=1) ** 2)
+
+    return _loglog_hurst(inc.size, min_block, max_block, block_moment, 1.0,
+                         "aggregated_variance")
 
 
 def hurst_variogram(path: SamplePath, min_lag=1, max_lag=None) -> HurstEstimate:
     """Hurst estimate from the order-2 variogram E(X_{t+tau} - X_t)^2 ~ tau^2H."""
     x = path.values
-    n = x.size
-    if n < 2**10:
-        raise ValueError("need at least 2^10 samples for a stable estimate")
-    max_lag = max_lag or n // 32
-    lags = _dyadic_scales(min_lag, max_lag)
-    if lags.size < 5:
-        raise ValueError("fewer than 5 dyadic lags available")
-    vario = np.array([np.mean((x[lag:] - x[:-lag]) ** 2) for lag in lags])
-    if np.any(vario <= 0.0):
-        raise ValueError("degenerate path: zero variogram")
-    slope, _, stderr, r2 = fit_line(np.log(lags), np.log(vario))
-    return HurstEstimate(h_hat=slope / 2.0, stderr=stderr / 2.0,
-                         method="variogram", r_squared=r2, n_scales=lags.size)
+    return _loglog_hurst(x.size, min_lag, max_lag,
+                         lambda lag: np.mean((x[lag:] - x[:-lag]) ** 2), 0.0, "variogram")
 
 
 def quadratic_variation(path: SamplePath, block=1):

@@ -24,7 +24,7 @@ from semimarket.experiments import (
     stationarity_check,
     validate_report,
 )
-from semimarket.semi_markov import validate_model
+from semimarket.semi_markov import states_at_times, validate_model
 
 
 # -- fit_slope ------------------------------------------------------------------
@@ -94,6 +94,22 @@ def test_model_config_errors():
     bad3["sojourns"]["1.7"] = bad3["sojourns"].pop("1")
     with pytest.raises(ValueError, match="state labels must be integers"):
         model_from_dict(bad3)
+    # malformed fields fail with a ValueError that names them
+    bad_fields = [
+        ({"states": 5}, "states must be a list"),
+        ({"sojourns": dict(EXAMPLE_A_MODEL["sojourns"], **{"0": "pareto"})},
+         "sojourn law of state 0 must be a law object"),
+        ({"sojourns": dict(EXAMPLE_A_MODEL["sojourns"],
+                           **{"0": {"family": "pareto", "scale": 1.0}})},
+         "sojourn law of state 0: missing field 'alpha'"),
+        ({"edges": {"0->7": {"family": "exponential", "rate": 1.0}}},
+         r"edge '0->7' joins a state not in \[-1, 0, 1\]"),
+        ({"edges": {"0->1": {"family": "exponential", "rate": "fast"}}}, "edge '0->1'"),
+        ({"edges": [["0->1"]]}, "edges must be an object"),
+    ]
+    for override, message in bad_fields:
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(dict(EXAMPLE_A_MODEL, **override))
     # a misspelled key would silently drop the override it was meant to carry
     known = r"known: \['states', 'transitions', 'sojourns', 'edges'\]"
     for key in ("edge", "slowly_varying"):
@@ -232,6 +248,18 @@ def test_validate_report_catches_problems():
     assert any("band" in p for p in validate_report(good))
 
 
+def test_report_schema_matches_the_kinds_and_a_report(tmp_path):
+    import jsonschema
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "report_schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)
+    assert schema["properties"]["kind"]["enum"] == list(EXPERIMENT_KINDS)
+    run(ExperimentSpec(kind="integral-identities", params={"n": 2**8, "seeds": 1}, seed=3,
+                       out_dir=str(tmp_path)))
+    jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), schema)
+
+
 def test_package_import_loads_no_scipy():
     # scipy.stats and friends take most of a second to import; the package
     # needs scipy only inside stationarity_check
@@ -303,6 +331,14 @@ def test_stationarity_check_pools_counts():
     assert out["min_pvalue"] > 0.01
     counts = np.asarray(out["counts"])
     assert counts.sum() == pytest.approx(3 * 2000 * 3)
+    # the counts equal a per-time, per-label loop over the same draws
+    loop = np.zeros((3, 3))
+    for s in range(3):
+        states = states_at_times(model, [0.0, 5.0, 10.0], 2000, np.random.default_rng([9, s]))
+        for ti in range(3):
+            for li, lab in enumerate(model.states):
+                loop[ti, li] += np.sum(states[:, ti] == lab)
+    assert out["counts"] == loop.tolist()
 
 
 def test_run_fbm_selftest_tiny():
@@ -486,7 +522,27 @@ _BAD_COUNTS = (
     ("integral-identities", {"hurst": 0}, "hurst"),
     ("integral-identities", {"n": 100}, "n"),
     ("integral-identities", {"n": 2**12, "levels": 14}, "n"),
+    ("integral-identities", {"n": 2**12, "levels": 10**12}, "n"),
+    # params that used to fail only at run time, some after a full simulation
+    ("mixed-market", {"n_grid": 1000}, "qv_blocks"),
+    ("mixed-market", {"qv_blocks": [0, 8]}, "qv_blocks"),
+    ("mixed-market", {"c2_dt": 0}, "c2_dt"),
+    ("mixed-market", {"rhos": ["0.5", 1.0]}, "rhos"),
+    ("limit-verification", {"sweep_epsilon": [0]}, "sweep_epsilon"),
+    ("limit-verification", {"renewal_dt": 0}, "renewal_dt"),
+    ("limit-verification", {"renewal_horizon": 200}, "slope_window"),
+    ("example-a", {"band": [0.5]}, "band"),
+    ("key-renewal", {"alpha": 0.5}, "alpha"),
+    ("key-renewal", {"band": [1.1]}, "band"),
+    ("key-renewal", {"scale": -1}, "scale"),
 )
+
+
+def test_every_default_param_has_one_check():
+    from semimarket.experiments import _PARAM_CHECKS
+
+    names = {key for _, _, defaults in EXPERIMENT_KINDS.values() for key in defaults}
+    assert names == set(_PARAM_CHECKS)
 
 
 def test_spec_accepts_smallest_fbm_selftest_sizes():
