@@ -12,6 +12,7 @@ that ran) plus CSV artifacts, and is deterministic given (spec, seed).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,6 +41,7 @@ __all__ = [
     "load_experiment",
     "validate_report",
     "stationarity_check",
+    "chi2_sf",
     "market_hurst",
     "REPORT_SCHEMA_VERSION",
 ]
@@ -183,9 +185,15 @@ _SPEC_KEYS = ("kind", "model", "params", "seed", "out", "threads")
 def load_experiment(path) -> ExperimentSpec:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"an experiment spec must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - set(_SPEC_KEYS))
     if unknown:
         raise ValueError(f"unknown spec keys {unknown}; known: {list(_SPEC_KEYS)}")
+    # numpy seeds must be non-negative
+    for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
+        if key in raw and not usable(raw[key], raw):
+            raise ValueError(f"spec key {key} must be {what}, got {raw[key]!r}")
     model = raw.get("model")
     if isinstance(model, str):
         base = os.path.dirname(os.path.abspath(path))
@@ -193,8 +201,8 @@ def load_experiment(path) -> ExperimentSpec:
         with open(model_path) as mf:
             model = json.load(mf)
     return ExperimentSpec(kind=raw["kind"], model=model, params=raw.get("params", {}),
-                          seed=int(raw.get("seed", 7041)), out_dir=raw.get("out"),
-                          threads=int(raw.get("threads", 1)))
+                          seed=raw.get("seed", 7041), out_dir=raw.get("out"),
+                          threads=raw.get("threads", 1))
 
 
 # -- small shared helpers ----------------------------------------------------
@@ -415,10 +423,30 @@ def run_limit_verification(p, seed, model, threads):
 
 # -- renewal tables -------------------------------------------------------------
 
+def chi2_sf(x, dof):
+    """P(X > x) for X chi-square with an integer number dof >= 1 of degrees of freedom.
+
+    With h = x/2 this is e^-h sum_{i < dof/2} h^i / i! for even dof and
+    erfc(sqrt h) + e^-h sum_{i < (dof-1)/2} h^(i+1/2) / Gamma(i+3/2) for odd
+    dof.  Each term is the one before it times h/(i+1) or h/(i+3/2), from e^-h
+    on, so no term exceeds 1 and none overflows.  The terms are exact to
+    rounding while e^-h is a normal float (x < 1 416); past that they lose
+    digits and underflow with it, where for dof <= 16 the sum is below 1e-290.
+    """
+    h = 0.5 * x
+    if dof % 2:
+        total, offset = math.erfc(math.sqrt(h)), 1.5
+        term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
+    else:
+        total, term, offset = 0.0, math.exp(-h), 1.0
+    for i in range(dof // 2):
+        total += term
+        term *= h / (i + offset)
+    return total
+
+
 def stationarity_check(model, times, n_rep, seeds, base_seed):
     """Chi-square of the marginal state law at fixed times against nu, pooled over seeds."""
-    from scipy.stats import chi2  # imported here: scipy.stats is slow to load
-
     labels = np.array(model.states)
     counts = np.zeros((len(times), labels.size))
     for s in range(seeds):
@@ -428,9 +456,9 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
     total = counts.sum(axis=1, keepdims=True)
     expected = stationary_law(model).nu[None, :] * total
     stat = ((counts - expected) ** 2 / expected).sum(axis=1)
-    pvals = chi2.sf(stat, df=labels.size - 1)
-    return {"times": list(map(float, times)), "pvalues": [float(v) for v in pvals],
-            "counts": counts.tolist(), "min_pvalue": float(pvals.min())}
+    pvals = [chi2_sf(v, labels.size - 1) for v in stat.tolist()]
+    return {"times": list(map(float, times)), "pvalues": pvals,
+            "counts": counts.tolist(), "min_pvalue": min(pvals)}
 
 
 def run_renewal_tables(p, seed, model, threads):

@@ -11,9 +11,10 @@ weight row costs one scalar renewal solve.
 Numerics: uniform time grid; Stieltjes convolutions pair exact CDF increments
 with a piecewise-linear (trapezoid) interpolant of the continuous factor;
 implicit renewal-type equations are solved by divide and conquer, with one
-inverse of the shift-invariant leaf matrix and direct or FFT coupling between
-halves, in O(M log^2 M + M * block) for M grid points, then refined once with
-an extended-precision residual, so horizons of ~10^4 time units at fine steps
+inverse of the shift-invariant leaf matrix, built from its lag blocks by
+Newton doubling, and direct or FFT coupling between halves, in
+O(M log^2 M + M * block) for M grid points, then refined once with an
+extended-precision residual, so horizons of ~10^4 time units at fine steps
 stay cheap and accurate to the last digits.
 """
 from __future__ import annotations
@@ -167,15 +168,51 @@ def conv_stieltjes(dF, g):
     return out
 
 
+def _block_toeplitz(blocks):
+    """Dense block lower-triangular Toeplitz matrix of lag blocks (s, q, q).
+
+    Entry (r q + i, c q + k) is blocks[r - c, i, k] for r >= c and 0 above,
+    so row r q + i is one contiguous slice of row i of the lag blocks in
+    reverse followed by zeros: the matrix is a strided view of those, copied.
+    """
+    s, q, _ = blocks.shape
+    seq = np.zeros((q, 2 * s - 1, q))
+    seq[:, :s] = blocks[::-1].transpose(1, 0, 2)
+    rows = np.lib.stride_tricks.sliding_window_view(seq.reshape(q, -1), s * q, axis=1)
+    # one contiguous copy: at q = 1 a bare reshape would return the overlapping view
+    return np.ascontiguousarray(rows[:, (s - 1) * q :: -q].transpose(1, 0, 2)).reshape(s * q, s * q)
+
+
+def _leaf_inverse(blocks):
+    """Inverse of the block lower-triangular Toeplitz matrix of lag blocks (s, q, q).
+
+    The inverse is block lower-triangular Toeplitz too, so only its lag blocks
+    D are computed, as the inverse of the power series C(z) = sum_d C_d z^d
+    by Newton doubling from C_0^-1: with D right in lags below h,
+    D <- D + D (I - C D) mod z^2h, where I - C D vanishes below lag h.  That
+    costs O(s^2 q^3) against the O((s q)^3) of a dense inverse.
+    """
+    s, q, _ = blocks.shape
+    toeplitz = _block_toeplitz(blocks)
+    inv = np.linalg.inv(blocks[0])  # lag blocks of D so far, stacked: row d q + i
+    while (done := inv.shape[0]) < s * q:
+        width = min(2 * done, s * q)
+        resid = -(toeplitz[done:width, :done] @ inv)  # lags h..2h-1 of I - C D, h q = done
+        ahead = _block_toeplitz(inv.reshape(-1, q, q))[: width - done, : width - done]
+        inv = np.concatenate([inv, ahead @ resid])
+    return _block_toeplitz(inv.reshape(s, q, q))
+
+
 class _ToeplitzSolver:
     """Divide-and-conquer solver of sum_{d=0}^{n} coef[..., d] x[:, n-d] = rhs[:, n].
 
     coef: (q, q, N) lag blocks of a block lower-triangular Toeplitz matrix.
     Leaves of width `block` are solved with one inverse of the leaf matrix,
-    which the shift invariance makes the same for every leaf; a solved left
-    half is folded into the right half's rhs by direct convolution for spans
-    up to DIRECT_LEAVES leaves and by FFT beyond, the kernel spectra being
-    computed once per FFT length.
+    which the shift invariance makes the same for every leaf and which is
+    built from its own lag blocks by Newton doubling; a solved left half is
+    folded into the right half's rhs by direct convolution for spans up to
+    DIRECT_LEAVES leaves and by FFT beyond, the kernel spectra being computed
+    once per FFT length.
     """
 
     # below this span a direct convolution beats the FFT round trip
@@ -185,10 +222,7 @@ class _ToeplitzSolver:
         q, _, n = coef.shape
         self.coef = coef
         self.block = block
-        size = min(block, n)
-        lag = np.subtract.outer(np.arange(size), np.arange(size))
-        leaf = np.where(lag >= 0, coef[:, :, np.maximum(lag, 0)], 0.0)
-        self.leaf_inv = np.linalg.inv(leaf.transpose(2, 0, 3, 1).reshape(size * q, size * q))
+        self.leaf_inv = _leaf_inverse(coef[:, :, : min(block, n)].transpose(2, 0, 1))
         self.active = [(i, k) for i in range(q) for k in range(q) if np.any(coef[i, k, 1:])]
         self.spectra = {}
 
@@ -241,9 +275,10 @@ def solve_volterra(forcing, dk, block=128):
     conv_stieltjes.  The discretized equation is a block lower-triangular
     Toeplitz system in x_1..x_{M-1}, solved by divide and conquer (Hairer,
     Lubich & Schlichte 1985): leaves of width `block` are solved with one
-    precomputed inverse of the shift-invariant leaf matrix, and each solved
-    left half is folded into the right half by direct or FFT convolution, so
-    the cost is O(M log^2 M + M * block).
+    precomputed inverse of the shift-invariant leaf matrix, itself block
+    lower-triangular Toeplitz and built from its lag blocks by Newton
+    doubling, and each solved left half is folded into the right half by
+    direct or FFT convolution, so the cost is O(M log^2 M + M * block).
 
     The renewal structure carries the rounding errors of a solve forward and
     lets them grow along the grid, so one step of iterative refinement

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from semimarket.experiments import (
     MARKOV_MODEL,
     ExperimentSpec,
     alpha_variant,
+    chi2_sf,
     fit_slope,
     load_experiment,
     run,
@@ -260,15 +262,44 @@ def test_report_schema_matches_the_kinds_and_a_report(tmp_path):
     jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), schema)
 
 
-def test_package_import_loads_no_scipy():
-    # scipy.stats and friends take most of a second to import; the package
-    # needs scipy only inside stationarity_check
-    code = "import sys, semimarket.experiments, semimarket.cli; print('scipy' in sys.modules)"
+def _loads_scipy(code):
+    """Whether `code` run in a fresh interpreter leaves scipy in sys.modules."""
     src = os.path.dirname(os.path.dirname(semimarket.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code + "; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.stats and friends take most of a second to import; numpy is the
+    # package's only run-time dependency, scipy only a test oracle
+    assert not _loads_scipy("import sys, semimarket.experiments, semimarket.cli")
+
+
+def test_renewal_tables_run_loads_no_scipy():
+    # the chi-square p-values of the stationarity check come from chi2_sf
+    params = {"dt": 0.05, "horizon": 3.0, "mc_replicates": 2000, "t_checks": [1.0, 2.0],
+              "stationarity_rep": 200, "stationarity_seeds": 2}
+    assert not _loads_scipy(
+        "import sys; from semimarket.experiments import ExperimentSpec, run; "
+        f"run(ExperimentSpec(kind='renewal-tables', params={params!r}))")
+
+
+@pytest.mark.parametrize("dof", range(1, 16))
+def test_chi2_sf_matches_scipy(dof):
+    from scipy.stats import chi2
+
+    xs = [0.0, 1e-8, 1e-3, *np.linspace(0.0, 60.0, 121), 700.0, 1500.0, 5000.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs:
+            got, want = chi2_sf(x, dof), chi2.sf(x, dof)
+            assert np.isfinite(got) and 0.0 <= got <= 1.0
+            if want > 1e-290:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), x
+            else:
+                assert got <= 1e-280, x
 
 
 def test_all_kinds_registered():
@@ -379,6 +410,23 @@ def test_cli_rejects_unknown_spec_key(tmp_path, capsys):
     rc = cli_main(["key-renewal", "--config", str(cfg)])
     assert rc == 2
     assert "budget_mb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "key-renewal", "seed": [1]}, "seed"),
+    ({"kind": "key-renewal", "seed": True}, "seed"),
+    ({"kind": "key-renewal", "seed": 1.5}, "seed"),
+    ({"kind": "key-renewal", "seed": -1}, "seed"),
+    ({"kind": "key-renewal", "threads": "many"}, "threads"),
+    ({"kind": "key-renewal", "threads": 0}, "threads"),
+    ({"kind": "key-renewal", "threads": False}, "threads"),
+    ([{"kind": "key-renewal"}], "JSON object"),
+])
+def test_cli_rejects_bad_spec_values(tmp_path, capsys, spec, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(spec))
+    assert cli_main(["key-renewal", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_param(tmp_path, capsys):

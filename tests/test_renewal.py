@@ -196,6 +196,37 @@ def test_volterra_pareto_renewal_equation_matches_oracle():
                                _volterra_forward(f, df[None, None, :]), rtol=0, atol=1e-12)
 
 
+def _dense_leaf(coef, size):
+    """The leaf matrix of lag blocks coef (q, q, .), assembled block by block."""
+    q = coef.shape[0]
+    leaf = np.zeros((size * q, size * q))
+    for r in range(size):
+        for c in range(r + 1):
+            leaf[r * q:(r + 1) * q, c * q:(c + 1) * q] = coef[:, :, r - c]
+    return leaf
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 300])
+def test_leaf_inverse_matches_dense_inverse(asym, q, n):
+    # lag blocks of I - dK as solve_volterra forms them: dK is a Pareto renewal
+    # law at q = 1 and the asymmetric model's kernel on its first q states else
+    g = Grid(dt=0.02, n_points=n + 2)
+    if q == 1:
+        dk = np.diff(Pareto(scale=0.01, alpha=1.5).cdf(g.times()), prepend=0.0)[None, None]
+    else:
+        dk = kernel_on_grid(asym, g).dq[:q, :q]
+    coef = np.empty((q, q, n))
+    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
+    coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:n + 1])
+    size = min(n, 128)
+    got = renewal._ToeplitzSolver(coef, block=128).leaf_inv
+    oracle = np.linalg.inv(_dense_leaf(coef, size))
+    assert got.shape == oracle.shape
+    assert got.flags.c_contiguous  # a strided view would make every leaf solve slow
+    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_volterra_frees_its_work_arrays_on_return():
     # with the cycle collector off, memory the solver left in a reference
     # cycle would stay allocated after the call
