@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .experiments import EXPERIMENT_KINDS, ExperimentSpec, load_experiment, run
@@ -43,12 +44,12 @@ def main(argv=None):
             return 2
     else:
         spec = ExperimentSpec(kind=args.kind)
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.out:
-        spec.out_dir = args.out
-    if args.threads is not None:
-        spec.threads = args.threads
+    overrides = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
+    try:
+        spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"semimarket {__version__} | kind={spec.kind} seed={spec.seed} "
           f"threads={spec.threads}", file=sys.stderr)

@@ -90,6 +90,10 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"known: {sorted(EXPERIMENT_KINDS)}")
+        # numpy seeds must be non-negative
+        for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
+            if not usable(getattr(self, key), None):
+                raise ValueError(f"spec key {key} must be {what}, got {getattr(self, key)!r}")
         if not isinstance(self.params, dict) or not isinstance(self.model, (dict, type(None))):
             raise ValueError("params must be an object and model an object or null")
         _, default_model, defaults = EXPERIMENT_KINDS[self.kind]
@@ -190,10 +194,6 @@ def load_experiment(path) -> ExperimentSpec:
     unknown = sorted(set(raw) - set(_SPEC_KEYS))
     if unknown:
         raise ValueError(f"unknown spec keys {unknown}; known: {list(_SPEC_KEYS)}")
-    # numpy seeds must be non-negative
-    for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
-        if key in raw and not usable(raw[key], raw):
-            raise ValueError(f"spec key {key} must be {what}, got {raw[key]!r}")
     model = raw.get("model")
     if isinstance(model, str):
         base = os.path.dirname(os.path.abspath(path))

@@ -10,15 +10,14 @@ weight row costs one scalar renewal solve.
 
 Numerics: uniform time grid; Stieltjes convolutions pair exact CDF increments
 with a piecewise-linear (trapezoid) interpolant of the continuous factor;
-implicit renewal-type equations are solved by divide and conquer, with one
-inverse of the shift-invariant leaf matrix, built from its lag blocks by
-Newton doubling, and direct or FFT coupling between halves, in
-O(M log^2 M + M * block) for M grid points, then refined once with an
+implicit renewal-type equations are solved by the Newton series inverse of
+their lag blocks, O(M log M) for M grid points, then refined once with an
 extended-precision residual, so horizons of ~10^4 time units at fine steps
 stay cheap and accurate to the last digits.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +122,7 @@ def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
 
 # -- Stieltjes convolution and Volterra solver ------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _next_fast_len(target):
     """Smallest 2^a 3^b 5^c >= target, a fast real FFT length for pocketfft."""
     best = 1 << (target - 1).bit_length()
@@ -168,123 +168,56 @@ def conv_stieltjes(dF, g):
     return out
 
 
-def _block_toeplitz(blocks):
-    """Dense block lower-triangular Toeplitz matrix of lag blocks (s, q, q).
+def _lag_product(a, b, n, size=None):
+    """Lags 0..n-1 of the series product a(z) b(z), lag blocks multiplied as matrices.
 
-    Entry (r q + i, c q + k) is blocks[r - c, i, k] for r >= c and 0 above,
-    so row r q + i is one contiguous slice of row i of the lag blocks in
-    reverse followed by zeros: the matrix is a strided view of those, copied.
+    a: (q, r, la), b: (r, p, lb).  One FFT product of cyclic length `size`,
+    by default a fast length >= la + lb - 1 where nothing wraps round; a
+    shorter one folds lags size.. onto lags 0.. .  Each spectrum is freed as
+    soon as it is used.
     """
-    s, q, _ = blocks.shape
-    seq = np.zeros((q, 2 * s - 1, q))
-    seq[:, :s] = blocks[::-1].transpose(1, 0, 2)
-    rows = np.lib.stride_tricks.sliding_window_view(seq.reshape(q, -1), s * q, axis=1)
-    # one contiguous copy: at q = 1 a bare reshape would return the overlapping view
-    return np.ascontiguousarray(rows[:, (s - 1) * q :: -q].transpose(1, 0, 2)).reshape(s * q, s * q)
+    if size is None:
+        size = _next_fast_len(a.shape[-1] + b.shape[-1] - 1)
+    spec = np.fft.rfft(a, size)
+    spec = np.einsum("ikf,kjf->ijf", spec, np.fft.rfft(b, size))
+    full = np.fft.irfft(spec, size)
+    del spec
+    return full[..., :n].copy()
 
 
-def _leaf_inverse(blocks):
-    """Inverse of the block lower-triangular Toeplitz matrix of lag blocks (s, q, q).
+def _series_inverse(coef):
+    """Lag blocks D (q, q, n) of C(z)^-1 mod z^n for C's lag blocks coef (q, q, n).
 
-    The inverse is block lower-triangular Toeplitz too, so only its lag blocks
-    D are computed, as the inverse of the power series C(z) = sum_d C_d z^d
-    by Newton doubling from C_0^-1: with D right in lags below h,
-    D <- D + D (I - C D) mod z^2h, where I - C D vanishes below lag h.  That
-    costs O(s^2 q^3) against the O((s q)^3) of a dense inverse.
+    Newton doubling from C_0^-1: with D right in lags below h,
+    D <- D + D (I - C D) mod z^2h, where I - C D vanishes below lag h.
+    Each doubling is two FFT products.
     """
-    s, q, _ = blocks.shape
-    toeplitz = _block_toeplitz(blocks)
-    inv = np.linalg.inv(blocks[0])  # lag blocks of D so far, stacked: row d q + i
-    while (done := inv.shape[0]) < s * q:
-        width = min(2 * done, s * q)
-        resid = -(toeplitz[done:width, :done] @ inv)  # lags h..2h-1 of I - C D, h q = done
-        ahead = _block_toeplitz(inv.reshape(-1, q, q))[: width - done, : width - done]
-        inv = np.concatenate([inv, ahead @ resid])
-    return _block_toeplitz(inv.reshape(s, q, q))
+    n = coef.shape[-1]
+    inv = np.linalg.inv(coef[:, :, 0])[:, :, None]
+    while (h := inv.shape[-1]) < n:
+        w = min(2 * h, n)
+        # lags h..w-1 of I - C D; a cyclic length >= w folds only onto lags < h
+        resid = -_lag_product(coef[:, :, :w], inv, w, _next_fast_len(w))[:, :, h:]
+        inv = np.concatenate([inv, _lag_product(inv[:, :, : w - h], resid, w - h)], axis=-1)
+    return inv
 
 
-class _ToeplitzSolver:
-    """Divide-and-conquer solver of sum_{d=0}^{n} coef[..., d] x[:, n-d] = rhs[:, n].
-
-    coef: (q, q, N) lag blocks of a block lower-triangular Toeplitz matrix.
-    Leaves of width `block` are solved with one inverse of the leaf matrix,
-    which the shift invariance makes the same for every leaf and which is
-    built from its own lag blocks by Newton doubling; a solved left half is
-    folded into the right half's rhs by direct convolution for spans up to
-    DIRECT_LEAVES leaves and by FFT beyond, the kernel spectra being computed
-    once per FFT length.
-    """
-
-    # below this span a direct convolution beats the FFT round trip
-    DIRECT_LEAVES = 8
-
-    def __init__(self, coef, block):
-        q, _, n = coef.shape
-        self.coef = coef
-        self.block = block
-        self.leaf_inv = _leaf_inverse(coef[:, :, : min(block, n)].transpose(2, 0, 1))
-        self.active = [(i, k) for i in range(q) for k in range(q) if np.any(coef[i, k, 1:])]
-        self.spectra = {}
-
-    def solve(self, rhs):
-        """Solution for the right-hand side rhs (q, N); rhs is overwritten."""
-        x = np.empty_like(rhs)
-        self._span(x, rhs, 0, rhs.shape[1])
-        return x
-
-    def _span(self, x, rhs, lo, hi):
-        """Solve unknowns lo..hi-1; rhs[:, lo:hi] already holds every earlier one."""
-        n = hi - lo
-        if n <= self.block:
-            q = x.shape[0]
-            b = rhs[:, lo:hi].T.reshape(-1)
-            x[:, lo:hi] = (self.leaf_inv[: n * q, : n * q] @ b).reshape(n, q).T
-            return
-        leaves = -(-n // self.block)
-        mid = lo + self.block * ((leaves + 1) // 2)
-        self._span(x, rhs, lo, mid)
-        if n <= self.DIRECT_LEAVES * self.block:
-            for i, k in self.active:
-                rhs[i, mid:hi] -= np.convolve(self.coef[i, k, 1:n], x[k, lo:mid], "valid")
-        elif self.active:
-            rhs[:, mid:hi] -= self._far_field(x[:, lo:mid], n)
-        self._span(x, rhs, mid, hi)
-
-    def _far_field(self, left, n):
-        """Contribution of the solved left part to the rest of a span of n unknowns.
-
-        Only outputs h-1..n-2 of the linear convolution of `left` (length h)
-        with lags 1..n-1 are wanted, and a cyclic convolution of length
-        fft_len >= n-1 gets them right, whatever lags beyond n-1 it adds.
-        """
-        h = left.shape[1]
-        fft_len = _next_fast_len(n - 1)
-        spec = self.spectra.get(fft_len)
-        if spec is None:
-            lags = self.coef[:, :, 1 : fft_len + 1]
-            spec = self.spectra[fft_len] = np.fft.rfft(lags, fft_len, axis=-1)
-        prod = np.einsum("ikf,kf->if", spec, np.fft.rfft(left, fft_len, axis=-1))
-        return np.fft.irfft(prod, fft_len, axis=-1)[:, h - 1 : n - 1]
-
-
-def solve_volterra(forcing, dk, block=128):
+def solve_volterra(forcing, dk):
     """Solve x_i(t) = f_i(t) + sum_k ∫_0^t x_k(t-u) dK_ik(u) on the grid.
 
     forcing: (q, M) values of f_i; dk: (q, q, M) exact kernel increments with
     dk[..., 0] == 0.  Trapezoid coupling in x, same quadrature as
     conv_stieltjes.  The discretized equation is a block lower-triangular
-    Toeplitz system in x_1..x_{M-1}, solved by divide and conquer (Hairer,
-    Lubich & Schlichte 1985): leaves of width `block` are solved with one
-    precomputed inverse of the shift-invariant leaf matrix, itself block
-    lower-triangular Toeplitz and built from its lag blocks by Newton
-    doubling, and each solved left half is folded into the right half by
-    direct or FFT convolution, so the cost is O(M log^2 M + M * block).
+    Toeplitz system in x_1..x_{M-1} with lag blocks C_d, so its inverse is
+    block lower-triangular Toeplitz too, with the lag blocks D of the series
+    C(z)^-1.  D comes from the Newton series inverse (Kung 1974; Brent &
+    Kung 1978) in O(M log M), and one more FFT product applies it.
 
     The renewal structure carries the rounding errors of a solve forward and
     lets them grow along the grid, so one step of iterative refinement
     follows, with the residual taken in extended precision (np.longdouble,
     80-bit on x86-64) by FFT; the result is then about as accurate as its
-    float64 rounding, whatever the leaf width.
+    float64 rounding.
     """
     forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
     dk = np.asarray(dk, dtype=float)
@@ -303,17 +236,17 @@ def solve_volterra(forcing, dk, block=128):
     coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
     coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:])
     b = forcing[:, 1:] + 0.5 * np.einsum("ikm,k->im", dk[:, :, 1:], x[:, 0])
-    solver = _ToeplitzSolver(coef, block)
-    y = solver.solve(b.copy())
+    inv = _series_inverse(coef)
+    y = _lag_product(inv, b[:, None], n)[:, 0]
     # residual b - T y in extended precision; the lags >= 1 by FFT
     resid = np.einsum("ik,kn->in", coef[:, :, 0], y, dtype=np.longdouble)
     np.subtract(b, resid, out=resid)
     fft_len = _next_fast_len(2 * n - 1)
-    for i, k in solver.active:
+    for i, k in np.argwhere(np.any(coef[:, :, 1:], axis=-1)):
         spec = np.fft.rfft(coef[i, k, 1:].astype(np.longdouble), fft_len)
         spec *= np.fft.rfft(y[k].astype(np.longdouble), fft_len)
         resid[i, 1:] -= np.fft.irfft(spec, fft_len)[: n - 1]
-    x[:, 1:] = y + solver.solve(resid.astype(float))
+    x[:, 1:] = y + _lag_product(inv, resid.astype(float)[:, None], n)[:, 0]
     return x
 
 

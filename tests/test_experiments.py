@@ -429,6 +429,28 @@ def test_cli_rejects_bad_spec_values(tmp_path, capsys, spec, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--seed", "-1"], "seed"),
+    (["--threads", "0"], "threads"),
+])
+def test_cli_rejects_bad_seed_and_threads_overrides(capsys, argv, key):
+    # checked before the run starts: exit 2 with a message, not numpy's traceback
+    assert cli_main(["integral-identities"] + argv) == 2
+    err = capsys.readouterr().err
+    assert f"spec key {key} must be" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"seed": -3, "threads": 0}, "seed"),
+    ({"threads": 0}, "threads"),
+    ({"seed": 1.0}, "seed"),
+])
+def test_spec_checks_seed_and_threads(fields, key):
+    with pytest.raises(ValueError, match=f"spec key {key} must be"):
+        ExperimentSpec(kind="integral-identities", **fields)
+
+
 def test_cli_rejects_unknown_param(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"kind": "example-a", "params": {"n_agent": 10}}))

@@ -159,45 +159,57 @@ def _random_volterra(rng, q, m1):
 
 def test_volterra_fast_equals_forward_oracle():
     rng = np.random.default_rng(1)
-    for q, m1, block in ((1, 257, 32), (2, 300, 64), (3, 123, 16)):
+    for q, m1 in ((1, 257), (2, 300), (3, 123)):
         f, dk = _random_volterra(rng, q, m1)
-        np.testing.assert_allclose(solve_volterra(f, dk, block=block),
-                                   _volterra_forward(f, dk), atol=1e-10)
+        np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk), atol=1e-10)
 
 
-@pytest.mark.parametrize("q, m1, block", [
-    (1, 2, 16), (2, 3, 16),            # one or two unknowns, a single short leaf
-    (1, 4 * 16 + 1, 16),               # m1 - 1 a whole number of leaves
-    (2, 5 * 16 + 2, 16),               # ... plus one point in a last leaf
-    (1, 8 * 16 + 1, 16), (2, 8 * 16 + 2, 16),   # around the direct/FFT switch
-    (1, 9 * 16 + 1, 16), (1, 40 * 16 + 2, 16),
-    (2, 60, 1),                        # leaves of one point
-])
-def test_volterra_edge_cases_match_oracle(q, m1, block):
-    f, dk = _random_volterra(np.random.default_rng(m1), q, m1)
-    np.testing.assert_allclose(solve_volterra(f, dk, block=block),
-                               _volterra_forward(f, dk), rtol=0, atol=1e-12)
+# n unknowns at and around the Newton doubling boundaries h = 2^k
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5] + [2**k + d for k in range(3, 9) for d in (-1, 0, 1)])
+def test_volterra_edge_cases_match_oracle(q, n):
+    f, dk = _random_volterra(np.random.default_rng(n), q, n + 1)
+    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+                               rtol=0, atol=1e-12)
 
 
 def test_volterra_with_an_all_zero_kernel_pair_matches_oracle():
     f, dk = _random_volterra(np.random.default_rng(3), 3, 301)
     dk[1, 2] = 0.0
-    np.testing.assert_allclose(solve_volterra(f, dk, block=16),
-                               _volterra_forward(f, dk), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+                               rtol=0, atol=1e-12)
 
 
-def test_volterra_pareto_renewal_equation_matches_oracle():
-    # R = 1 + F * R on 2001 points: 125 leaves of 16, so 7 levels of halving
-    g = Grid(dt=0.01, n_points=2001)
+def _pareto_renewal_matches_oracle(n_points):
+    # R = 1 + F * R for a Pareto law F
+    g = Grid(dt=0.01, n_points=n_points)
     df = np.zeros(g.n_points)
     df[1:] = np.diff(Pareto(scale=0.1, alpha=1.5).cdf(g.times()))
     f = np.ones((1, g.n_points))
-    np.testing.assert_allclose(solve_volterra(f, df[None, None, :], block=16),
+    np.testing.assert_allclose(solve_volterra(f, df[None, None, :]),
                                _volterra_forward(f, df[None, None, :]), rtol=0, atol=1e-12)
 
 
+def test_volterra_pareto_renewal_equation_matches_oracle():
+    _pareto_renewal_matches_oracle(2001)  # 2 000 unknowns: 11 doublings, the last one cut short
+
+
+def test_volterra_long_pareto_renewal_matches_oracle():
+    _pareto_renewal_matches_oracle(16385)  # 2^14 unknowns: 14 full doublings
+
+
+def test_volterra_asymmetric_kernel_matches_oracle(asym):
+    # the q = 2 first-passage system of the asymmetric model on 4 097 points
+    g = Grid(dt=0.01, n_points=4097)
+    kernel = kernel_on_grid(asym, g)
+    f = kernel.q[:2, 2]
+    dk = kernel.dq[:2, :2]
+    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+                               rtol=0, atol=1e-12)
+
+
 def _dense_leaf(coef, size):
-    """The leaf matrix of lag blocks coef (q, q, .), assembled block by block."""
+    """The block lower-triangular Toeplitz matrix of lag blocks coef (q, q, .), block by block."""
     q = coef.shape[0]
     leaf = np.zeros((size * q, size * q))
     for r in range(size):
@@ -210,7 +222,8 @@ def _dense_leaf(coef, size):
 @pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 300])
 def test_leaf_inverse_matches_dense_inverse(asym, q, n):
     # lag blocks of I - dK as solve_volterra forms them: dK is a Pareto renewal
-    # law at q = 1 and the asymmetric model's kernel on its first q states else
+    # law at q = 1 and the asymmetric model's kernel on its first q states else;
+    # the series inverse's lag blocks are the first block column of the dense inverse
     g = Grid(dt=0.02, n_points=n + 2)
     if q == 1:
         dk = np.diff(Pareto(scale=0.01, alpha=1.5).cdf(g.times()), prepend=0.0)[None, None]
@@ -219,11 +232,9 @@ def test_leaf_inverse_matches_dense_inverse(asym, q, n):
     coef = np.empty((q, q, n))
     coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
     coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:n + 1])
-    size = min(n, 128)
-    got = renewal._ToeplitzSolver(coef, block=128).leaf_inv
-    oracle = np.linalg.inv(_dense_leaf(coef, size))
-    assert got.shape == oracle.shape
-    assert got.flags.c_contiguous  # a strided view would make every leaf solve slow
+    got = renewal._series_inverse(coef)
+    oracle = np.linalg.inv(_dense_leaf(coef, n))[:, :q].reshape(n, q, q).transpose(1, 2, 0)
+    assert got.shape == oracle.shape == (q, q, n)
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
