@@ -11,13 +11,19 @@ weight row costs one scalar renewal solve.
 Numerics: uniform time grid; Stieltjes convolutions pair exact CDF increments
 with a piecewise-linear (trapezoid) interpolant of the continuous factor;
 implicit renewal-type equations are solved by the Newton series inverse of
-their lag blocks, O(M log M) for M grid points, then refined once with an
-extended-precision residual, so horizons of ~10^4 time units at fine steps
-stay cheap and accurate to the last digits.
+their lag blocks, O(M log M) for M grid points, then refined once.  The
+refinement's residual needs more than float64 precision and gets it from
+float64 alone: the lag blocks and the first solution are each split into an
+integer-valued high part and a remainder; the high parts' FFT product is
+rounded back to its exact integers, and the remainder's product is 2^-bits
+smaller than the whole, so its rounding error is too.  Horizons of ~10^4 time
+units at fine steps thus stay cheap and accurate to the last digits on any
+platform.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +68,17 @@ class Grid:
 
     @classmethod
     def for_horizon(cls, horizon, dt):
-        return cls(dt=dt, n_points=int(np.ceil(horizon / dt)) + 1)
+        """The grid of step dt that reaches horizon; a whole number of steps lands on it.
+
+        horizon / dt is taken as whole when within 4 ulps of an integer, so
+        a rounding error such as 0.14 / 0.02 = 7.000000000000001 costs no
+        extra step.
+        """
+        steps = horizon / dt
+        whole = round(steps)
+        if abs(steps - whole) > 4.0 * math.ulp(whole):
+            whole = math.ceil(steps)
+        return cls(dt=dt, n_points=whole + 1)
 
 
 @dataclass(frozen=True)
@@ -202,52 +218,131 @@ def _series_inverse(coef):
     return inv
 
 
+def _hi_bits(q, size):
+    """Bits of the integer high parts in `_toeplitz_product` at q rows and FFT length size.
+
+    One output lag of the integer product sums at most q * size/2 products
+    below 2^(2 bits) each, so it stays below 2^47 and its FFT comes back
+    within far less than 1/2 of the exact integer (Percival 2003).
+    """
+    return int(47 - np.log2(q * size)) // 2
+
+
+def _scale(a, bits):
+    """The power of two that takes max|a| below 2^bits."""
+    return np.ldexp(1.0, bits - int(np.frexp(np.abs(a).max())[1]))
+
+
+def _split(a, scale):
+    """[hi, lo] with a = hi / scale + lo exactly, hi integer-valued; scale a power of two."""
+    out = np.empty((2,) + a.shape)
+    np.rint(a * scale, out=out[0])
+    np.subtract(a, out[0] / scale, out=out[1])
+    return out
+
+
+def _toeplitz_product(coef, y, size):
+    """T y = exact + rest for the block lower-triangular Toeplitz T with lag blocks coef.
+
+    coef (q, q, n) and y (q, n) are each split as hi / scale + lo with one
+    power-of-two scale per array and |hi| <= 2^bits (`_split`, after Ozaki
+    et al. 2012).  `exact` is hi * hi / scales: an integer convolution, taken
+    by FFT at cyclic length `size` (>= 2n - 1) and rounded back to the exact
+    integers, so it carries no rounding error at all.  `rest` =
+    hi * lo / scale + lo * y is 2^-bits smaller than T y, and so is its
+    float64 rounding.  Lag 0 is a plain product.  Lags >= 1 are transformed
+    for the nonzero kernel pairs only and each y[k] once; each row's sums
+    are transformed back once per part, and each spectrum is freed as soon
+    as it is used.
+    """
+    q, _, n = coef.shape
+    bits = _hi_bits(q, size)
+    sc, sy = _scale(coef, bits), _scale(y, bits)
+    c0, ys = _split(coef[:, :, 0], sc), _split(y, sy)
+    exact = c0[0] @ ys[0]
+    rest = c0[1] @ y + c0[0] @ ys[1] / sc
+    ys = np.fft.rfft(ys, size)
+    for i in range(q):
+        acc = None
+        for k in np.flatnonzero(np.any(coef[i, :, 1:], axis=-1)):
+            # [C_hi, C_lo] -> [C_hi Y_hi, C_hi Y_lo / sc + C_lo Y], in place
+            spec = np.fft.rfft(_split(coef[i, k, 1:], sc), size)
+            tmp = spec[1] * ys[1, k]
+            spec[1] *= ys[0, k]
+            spec[1] /= sy
+            spec[1] += tmp
+            np.multiply(spec[0], ys[1, k], out=tmp)
+            tmp /= sc
+            spec[1] += tmp
+            spec[0] *= ys[0, k]
+            del tmp
+            if acc is None:
+                acc = spec
+            else:
+                acc += spec
+        if acc is not None:
+            part = np.fft.irfft(acc[0], size)[: n - 1]
+            exact[i, 1:] += np.rint(part, out=part)
+            del part
+            rest[i, 1:] += np.fft.irfft(acc[1], size)[: n - 1]
+    return exact / sc / sy, rest
+
+
+def _volterra_system(forcing, dk):
+    """Lag blocks coef (q, q, n) and right-hand side b (q, n) of the discretized equation.
+
+    coef[..., 0] = I - dk_1/2 multiplies x_m itself; coef[..., d] =
+    -(dk_d + dk_{d+1})/2 multiplies x_{m-d} for 1 <= d <= m-1; the known
+    x_0 = forcing[:, 0] terms dk_m/2 x_0 go to b.
+    """
+    q, m1 = forcing.shape
+    n = m1 - 1
+    coef = np.empty((q, q, n))
+    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
+    coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:])
+    b = forcing[:, 1:] + 0.5 * np.einsum("ikm,k->im", dk[:, :, 1:], forcing[:, 0])
+    return coef, b
+
+
 def solve_volterra(forcing, dk):
     """Solve x_i(t) = f_i(t) + sum_k ∫_0^t x_k(t-u) dK_ik(u) on the grid.
 
     forcing: (q, M) values of f_i; dk: (q, q, M) exact kernel increments with
     dk[..., 0] == 0.  Trapezoid coupling in x, same quadrature as
     conv_stieltjes.  The discretized equation is a block lower-triangular
-    Toeplitz system in x_1..x_{M-1} with lag blocks C_d, so its inverse is
-    block lower-triangular Toeplitz too, with the lag blocks D of the series
-    C(z)^-1.  D comes from the Newton series inverse (Kung 1974; Brent &
-    Kung 1978) in O(M log M), and one more FFT product applies it.
+    Toeplitz system T x = b in x_1..x_{M-1} with lag blocks C_d, so its
+    inverse is block lower-triangular Toeplitz too, with the lag blocks D of
+    the series C(z)^-1.  D comes from the Newton series inverse (Kung 1974;
+    Brent & Kung 1978) in O(M log M); its spectrum, taken once, applies it.
 
     The renewal structure carries the rounding errors of a solve forward and
     lets them grow along the grid, so one step of iterative refinement
-    follows, with the residual taken in extended precision (np.longdouble,
-    80-bit on x86-64) by FFT; the result is then about as accurate as its
-    float64 rounding.
+    follows.  Its residual b - T y is formed in float64 from an error-free
+    split (`_toeplitz_product`): T y = exact + rest, where `exact`, the FFT
+    product of integer-valued high parts, is rounded back to its exact
+    integers and `rest` is 2^-bits times smaller than T y.  The residual is
+    then as good as one taken in far wider arithmetic, on every platform,
+    and the result about as accurate as its float64 rounding.
     """
     forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
     dk = np.asarray(dk, dtype=float)
     q, m1 = forcing.shape
     if dk.shape != (q, q, m1):
         raise ValueError("kernel increment array must have shape (q, q, M)")
-    x = np.empty((q, m1))
-    x[:, 0] = forcing[:, 0]
     n = m1 - 1
     if n == 0:
-        return x
-    # coef[..., 0] = I - dk_1/2 multiplies x_m itself; coef[..., d] =
-    # -(dk_d + dk_{d+1})/2 multiplies x_{m-d} for 1 <= d <= m-1; the known
-    # x_0 terms dk_m/2 x_0 go to the right-hand side b
-    coef = np.empty((q, q, n))
-    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
-    coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:])
-    b = forcing[:, 1:] + 0.5 * np.einsum("ikm,k->im", dk[:, :, 1:], x[:, 0])
-    inv = _series_inverse(coef)
-    y = _lag_product(inv, b[:, None], n)[:, 0]
-    # residual b - T y in extended precision; the lags >= 1 by FFT
-    resid = np.einsum("ik,kn->in", coef[:, :, 0], y, dtype=np.longdouble)
-    np.subtract(b, resid, out=resid)
-    fft_len = _next_fast_len(2 * n - 1)
-    for i, k in np.argwhere(np.any(coef[:, :, 1:], axis=-1)):
-        spec = np.fft.rfft(coef[i, k, 1:].astype(np.longdouble), fft_len)
-        spec *= np.fft.rfft(y[k].astype(np.longdouble), fft_len)
-        resid[i, 1:] -= np.fft.irfft(spec, fft_len)[: n - 1]
-    x[:, 1:] = y + _lag_product(inv, resid.astype(float)[:, None], n)[:, 0]
-    return x
+        return forcing.copy()
+    coef, b = _volterra_system(forcing, dk)
+    size = _next_fast_len(2 * n - 1)
+    inv = np.fft.rfft(_series_inverse(coef), size)
+
+    def apply_inverse(v):
+        return np.fft.irfft(np.einsum("ikf,kf->if", inv, np.fft.rfft(v, size)), size)[:, :n]
+
+    y = apply_inverse(b).copy()
+    exact, rest = _toeplitz_product(coef, y, size)
+    y += apply_inverse((b - exact) - rest)
+    return np.concatenate([forcing[:, :1], y], axis=1)
 
 
 # -- first passage and stationary transition ---------------------------------
@@ -472,8 +567,15 @@ def key_renewal_asymptote(f_law, z: GridFunction, grid: Grid):
 
 
 def write_grid_csv(path, quantity, gf: GridFunction):
-    """Emit a grid table as CSV with columns t,quantity,value."""
-    rows = [f"{t!r},{quantity},{v!r}\n"
-            for t, v in zip(gf.grid.times().tolist(), gf.values.tolist())]
+    """Emit a grid table as CSV with columns t,quantity,value.
+
+    Rows are formatted and written 8 192 at a time, so a long table never
+    exists as one list of Python strings.
+    """
+    times = gf.grid.times()
     with open(path, "w") as fh:
-        fh.write("t,quantity,value\n" + "".join(rows))
+        fh.write("t,quantity,value\n")
+        for lo in range(0, times.size, 8192):
+            hi = lo + 8192
+            fh.write("".join(f"{t!r},{quantity},{v!r}\n" for t, v in zip(
+                times[lo:hi].tolist(), gf.values[lo:hi].tolist())))

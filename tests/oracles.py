@@ -12,7 +12,7 @@ import numpy as np
 from semimarket.fbm import fgn_autocovariance
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
-from semimarket.renewal import GridFunction, _renewal_solve
+from semimarket.renewal import GridFunction, _renewal_solve, _volterra_system
 from semimarket.semi_markov import _cumulative, _pick, jump_rounds, stationary_law, \
     theorem_condition_value
 
@@ -31,6 +31,35 @@ def renewal_function(f_jj: GridFunction) -> GridFunction:
     """R(t) = expected entrances in [0,t] counting the one at 0; solves R = 1 + F*R."""
     r = _renewal_solve(np.ones(f_jj.grid.n_points), f_jj.values)
     return GridFunction(f_jj.grid, r, kind="plain")
+
+
+def volterra_longdouble(forcing, dk):
+    """solve_volterra's float64 system T x = b, solved by forward substitution in np.longdouble.
+
+    The lag blocks and right-hand side are the ones `solve_volterra` builds;
+    only the solve runs in extended precision, row by row, so the result is
+    the exact solution of that system to about 1e-19 relative (x86-64).
+    """
+    forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
+    coef, b = _volterra_system(forcing, np.asarray(dk, dtype=float))
+    q, n = b.shape
+    coef = coef.astype(np.longdouble)
+    # C_0^-1 by Gauss-Jordan, since np.linalg has no long double
+    inv0 = np.eye(q, dtype=np.longdouble)
+    c0 = coef[:, :, 0].copy()
+    for p in range(q):
+        inv0[p] /= c0[p, p]
+        c0[p] /= c0[p, p]
+        for r in range(q):
+            if r != p:
+                inv0[r] -= c0[r, p] * inv0[p]
+                c0[r] -= c0[r, p] * c0[p]
+    lags = coef[:, :, 1:][:, :, ::-1].copy()  # lags n-1 .. 1
+    x = np.zeros((q, n), dtype=np.longdouble)
+    for m in range(n):
+        rhs = b[:, m] - np.einsum("ikd,kd->i", lags[:, :, n - 1 - m:], x[:, :m])
+        x[:, m] = inv0 @ rhs
+    return np.concatenate([forcing[:, :1].astype(np.longdouble), x], axis=1)
 
 
 def theorem_condition(model):

@@ -1,10 +1,13 @@
 import gc
+import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from semimarket.config import model_from_dict
+from semimarket.experiments import ASYMMETRIC_MODEL, alpha_variant
 from semimarket.distributions import Exponential, Pareto
 from semimarket import renewal
 from semimarket.renewal import (
@@ -27,7 +30,7 @@ from semimarket.renewal import (
 from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law, \
     tail_constant_Cj
 
-from oracles import of_state, renewal_function
+from oracles import of_state, renewal_function, volterra_longdouble
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -71,6 +74,37 @@ def test_grid_basics():
         Grid(dt=-0.1, n_points=10)
     with pytest.raises(ValueError):
         Grid(dt=0.1, n_points=1)
+
+
+# decimal horizons k dt (as typed) whose float quotient by dt lands just above
+# k, such as 0.14 / 0.02 = 7.000000000000001; k < 3 000 on nine common steps
+_STEPS = (0.001, 0.002, 0.005, 0.01, 0.02, 0.025, 0.05, 0.1, 0.2)
+_WHOLE_ABOVE = [(float(Decimal(str(dt)) * k), dt, k) for dt in _STEPS for k in range(1, 3000)
+                if math.ceil(float(Decimal(str(dt)) * k) / dt) > k]
+
+
+def test_grid_horizons_with_a_quotient_above_the_whole_steps():
+    assert len(_WHOLE_ABOVE) == 216
+
+
+@pytest.mark.parametrize("horizon, dt, k", _WHOLE_ABOVE)
+def test_for_horizon_takes_no_extra_step(horizon, dt, k):
+    g = Grid.for_horizon(horizon, dt)
+    assert g.n_points == k + 1
+    assert g.horizon == pytest.approx(horizon, rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon, dt, n_points", [
+    (12.0, 0.005, 2401),      # renewal-tables
+    (60.0, 0.02, 3001),       # mixed-market c2 grid
+    (1050.0, 0.05, 21001),    # perfbench limit-constant fits
+    (1.05e4, 0.1, 105001),    # perfbench key-renewal
+    (1.05e4, 0.05, 210001),   # key-renewal, limit_constant_comparison
+    (1.05e4, 0.025, 420001),  # limit-verification gamma
+    (10.05, 0.1, 102),        # no whole number of steps: the first grid point past it
+])
+def test_for_horizon_keeps_the_default_sizes(horizon, dt, n_points):
+    assert Grid.for_horizon(horizon, dt).n_points == n_points
 
 
 def test_gridfunction_distribution_bounds():
@@ -236,6 +270,67 @@ def test_leaf_inverse_matches_dense_inverse(asym, q, n):
     oracle = np.linalg.inv(_dense_leaf(coef, n))[:, :q].reshape(n, q, q).transpose(1, 2, 0)
     assert got.shape == oracle.shape == (q, q, n)
     assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 on this platform")
+def test_volterra_is_as_accurate_as_its_float64_rounding(monkeypatch):
+    # the q = 2 first-passage system and the scalar return-law renewal solve
+    # of the alpha = 1.6 asymmetric model, as covariance_gamma forms them,
+    # against the same float64 systems solved in long double.  Bound, set
+    # before any run: one float64 rounding of the largest entry.
+    systems = []
+
+    def recording(forcing, dk):
+        systems.append((np.atleast_2d(forcing), dk))
+        return solve_volterra(forcing, dk)
+
+    monkeypatch.setattr(renewal, "solve_volterra", recording)
+    covariance_gamma(model_from_dict(alpha_variant(ASYMMETRIC_MODEL, 1.6)),
+                     Grid(dt=0.05, n_points=8193))
+    firsts = {f.shape[0]: (f, dk) for f, dk in reversed(systems)}
+    assert sorted(firsts) == [1, 2]
+    for f, dk in firsts.values():
+        oracle = volterra_longdouble(f, dk)
+        assert np.abs(solve_volterra(f, dk) - oracle).max() <= 2.2e-16 * np.abs(oracle).max()
+
+
+def test_split_is_exact():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 1000)) * np.exp(rng.uniform(-30, 30, size=(3, 1000)))
+    scale = renewal._scale(a, 14)
+    hi, lo = renewal._split(a, scale)
+    assert np.abs(hi).max() <= 2.0**14
+    assert np.array_equal(hi, np.rint(hi))
+    assert np.array_equal(hi / scale + lo, a)
+    assert np.abs(lo).max() <= 0.5 / scale
+
+
+@pytest.mark.parametrize("signs", ["equal", "random"])
+def test_toeplitz_product_rounds_its_integer_part_exactly(signs):
+    # the largest FFT the package takes, limit-verification's 420 001-point
+    # gamma with its q = 2 first passages, and every high part at its bound
+    # 2^bits: the integer sums are as large as they can get, and the
+    # FFT's rounding error with them
+    q, n = 2, 420000
+    size = renewal._next_fast_len(2 * n - 1)
+    bits = renewal._hi_bits(q, size)
+    rng = np.random.default_rng(5)
+
+    def signs_of(shape):
+        return np.ones(shape) if signs == "equal" else rng.choice([-1.0, 1.0], size=shape)
+
+    # just below 1, so the split scales by 2^bits and rounds up to |hi| = 2^bits
+    top = 1.0 - 2.0 ** -(bits + 2)
+    coef_signs, y_signs = signs_of((q, q, n)), signs_of((q, n))
+    exact, _ = renewal._toeplitz_product(top * coef_signs, top * y_signs, size)
+    got = exact * 2.0 ** (2 * bits)
+    hi_c = coef_signs.astype(np.int64) << bits
+    hi_y = y_signs.astype(np.int64) << bits
+    for m in np.concatenate([np.arange(5), rng.integers(5, n - 5, 30), np.arange(n - 5, n)]):
+        want = [sum(int(np.dot(hi_c[i, k, :m + 1], hi_y[k, m::-1])) for k in range(q))
+                for i in range(q)]
+        assert np.array_equal(got[:, m], want)
 
 
 def test_volterra_frees_its_work_arrays_on_return():
