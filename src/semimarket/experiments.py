@@ -252,8 +252,8 @@ def _pmap(fn, args_list, threads):
 
 # -- fbm-selftest -------------------------------------------------------------
 
-# standard normals drawn per chunk of covariance paths (2n per path): a cell's
-# peak memory, about 1.2 MB at n = 1024, does not grow with its paths
+# standard normals drawn per chunk of covariance paths (2n per path at n >= 16):
+# a cell's tracemalloc peak, about 350 kB at n = 1024, does not grow with its paths
 _CHUNK_VALUES = 1 << 15
 
 
@@ -262,14 +262,15 @@ def _fbm_cov_cell(hurst, n_paths, n, seed):
     # t = 0 has zero variance, so every pick lies at index >= 1
     picks = np.maximum(np.linspace(n // 5, n, 5).astype(int), 1)
     dt = 1.0 / n
-    # B(pick * dt) = dt^H * (sum of the first `pick` fGn steps): one product reads
-    # the five values without building the paths
-    steps = dt**hurst * (np.arange(n)[:, None] < picks)
-    rows = max(1, _CHUNK_VALUES // (2 * n))
+    # B(pick * dt) = dt^H * (sum of the first `pick` fGn steps): one product of
+    # the generator's normals reads the five values without building the paths
+    pick_map = dt**hurst * fbm_mod.partial_sum_map(hurst, n, picks)
+    width = pick_map.shape[0]
+    rows = max(1, _CHUNK_VALUES // width)
     gram = np.zeros((picks.size, picks.size))
     for start in range(0, n_paths, rows):
         k = min(rows, n_paths - start)
-        samples = fbm_mod.sample_fgn(hurst, n, rng, size=k) @ steps
+        samples = rng.standard_normal((k, width)) @ pick_map
         gram += samples.T @ samples
     t = picks * dt
     exact = 0.5 * (t[:, None] ** (2 * hurst) + t[None, :] ** (2 * hurst)

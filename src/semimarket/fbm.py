@@ -6,9 +6,12 @@ spectrum depends only on (H, n), so its square root, with the FFT's sqrt(2n)
 and the 1/sqrt(2) of the complex pairs folded in, is computed once by a real
 FFT and cached; k paths are one (k, 2n) normal draw, one complex multiply by
 that root and one real inverse FFT over the rows.  A Cholesky fallback covers
-n < 16 and embeddings with negative eigenvalues.  Two independent log-log
-regression estimators (aggregated variance, variogram) serve as the
-verification instruments for the scaling-limit experiments.
+n < 16 and embeddings with negative eigenvalues.  Either route is one fixed
+linear map of a row's normals, and `partial_sum_map` is that map transposed
+onto a few partial sums: a caller that needs B at a handful of times reads
+them by one product with the same normals, with no inverse FFT.  Two
+independent log-log regression estimators (aggregated variance, variogram)
+serve as the verification instruments for the scaling-limit experiments.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ __all__ = [
     "HurstEstimate",
     "fgn_autocovariance",
     "sample_fgn",
+    "partial_sum_map",
     "sample_fbm",
     "hurst_aggregated_variance",
     "hurst_variogram",
@@ -76,20 +80,29 @@ def _embedding_root(hurst, n):
     return root
 
 
+def _cholesky_factor(hurst, n):
+    """Lower Cholesky factor of the n x n fGn covariance matrix."""
+    lags = np.arange(n)
+    return np.linalg.cholesky(fgn_autocovariance(hurst, np.abs(lags[:, None] - lags)))
+
+
+def _route_root(hurst, n):
+    """The embedding root `sample_fgn` uses, or None on its Cholesky route."""
+    if n < 1:
+        raise ValueError("need at least one increment")
+    return _embedding_root(hurst, n) if n >= 16 else None
+
+
 def sample_fgn(hurst, n, rng, size=None):
     """Unit-variance fGn: shape (n,) for size None, (size, n) for an int.
 
     Each row draws 2n standard normals (z0, z_n, then re/im pairs), so row r
     equals the r-th of `size` single-path calls on the same stream.
     """
-    if n < 1:
-        raise ValueError("need at least one increment")
     k = 1 if size is None else size
-    root = _embedding_root(hurst, n) if n >= 16 else None
+    root = _route_root(hurst, n)
     if root is None:
-        lags = np.arange(n)
-        chol = np.linalg.cholesky(fgn_autocovariance(hurst, np.abs(lags[:, None] - lags)))
-        rows = rng.standard_normal((k, n)) @ chol.T
+        rows = rng.standard_normal((k, n)) @ _cholesky_factor(hurst, n).T
     else:
         g = rng.standard_normal((k, 2 * n))
         spec = np.empty((k, n + 1), dtype=complex)
@@ -98,6 +111,29 @@ def sample_fgn(hurst, n, rng, size=None):
         spec[:, n] = g[:, 1] * root[n]
         rows = np.fft.irfft(spec, 2 * n, axis=1)[:, :n]
     return rows[0] if size is None else rows
+
+
+def partial_sum_map(hurst, n, ends):
+    """Matrix L with (normals @ L)[:, c] = sum of the first ends[c] fGn steps.
+
+    `normals` are the rows `sample_fgn(hurst, n, ...)` draws: L has 2n rows on
+    the embedding route and n on the Cholesky route, so `L.shape[0]` is the
+    width of a draw.  On the embedding route L is the adjoint of the rows'
+    `irfft`: the length-2n `rfft` of the step indicators, weighted by the
+    root, with z0 and z_n taking the real k = 0 and k = n terms and the
+    pair (2k, 2k + 1) the real and imaginary part of term k.
+    """
+    ind = np.arange(n)[:, None] < np.asarray(ends)
+    root = _route_root(hurst, n)
+    if root is None:
+        return _cholesky_factor(hurst, n).T @ ind
+    # irfft divides by 2n and counts each complex term 0 < k < n twice
+    spec = np.fft.rfft(ind, 2 * n, axis=0) * (root[:, None] / n)
+    out = np.empty((n, 2, ind.shape[1]))
+    out[:, 0] = spec[:n].real
+    out[:, 1] = spec[:n].imag
+    out[0] = 0.5 * spec[[0, n]].real
+    return out.reshape(2 * n, ind.shape[1])
 
 
 def sample_fbm(hurst, n, dt, rng) -> SamplePath:

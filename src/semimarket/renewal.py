@@ -364,7 +364,8 @@ def first_passage(model: SemiMarkovModel, grid: Grid, target, kernel: KernelGrid
         out[states[i]] = GridFunction(grid, np.clip(x[a], 0.0, None), kind="distribution")
     ret = kernel.q[jj, jj].copy()
     for b, k in enumerate(others):
-        ret += conv_stieltjes(dq[jj, k], x[b])
+        if dq[jj, k].any():  # a zero kernel pair adds exact zeros
+            ret += conv_stieltjes(dq[jj, k], x[b])
     out[target] = GridFunction(grid, np.clip(ret, 0.0, None), kind="distribution")
     return out
 
@@ -408,7 +409,7 @@ def _fstar(shat_row, passage, states, target):
     jj = states.index(target)
     out = shat_row[jj].copy()
     for kk, k in enumerate(states):
-        if kk == jj:
+        if kk == jj or not shat_row[kk].any():  # a zero pair adds exact zeros
             continue
         dsh = np.zeros(grid.n_points)
         dsh[1:] = np.diff(shat_row[kk])

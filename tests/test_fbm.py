@@ -171,31 +171,67 @@ def test_fgn_matches_frozen_assembly(hurst, n, size):
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
+@pytest.mark.parametrize("n", [8, 16, 1024])
+@pytest.mark.parametrize("hurst", [0.3, 0.75, 0.9])
+def test_partial_sum_map_matches_cumsum_of_fgn(hurst, n):
+    # normals @ map equals the cumulative fGn rows drawn from the same stream,
+    # read at the ends, on the Cholesky (n = 8) and the embedding route
+    ends = np.array([1, 3, n // 2, n - 1, n])
+    rngs = [np.random.default_rng([31, n]) for _ in range(2)]
+    pick_map = fbm_mod.partial_sum_map(hurst, n, ends)
+    assert pick_map.shape == (n if n < 16 else 2 * n, ends.size)
+    got = rngs[0].standard_normal((5, pick_map.shape[0])) @ pick_map
+    want = np.cumsum(sample_fgn(hurst, n, rngs[1], size=5), axis=1)[:, ends - 1]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+class _Replay:
+    """Stands in for a generator whose next draw is `normals`."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals
+
+
 @pytest.mark.parametrize("n", [16, 100, 1024])
 def test_cov_cell_picks_match_cumsum_route(n, monkeypatch):
-    # the cell's one product per chunk gives B at the picks that the full
-    # cumulative paths give
-    chunks, products = [], []
+    # the cell's one product per chunk of normals gives B at the picks that the
+    # full cumulative paths built from the same normals give, and the chunks
+    # are the normals one `sample_fgn` call of all the paths would draw
+    draws, products = [], []
 
-    class RecordedRows(np.ndarray):
-        """fGn rows that keep each matrix product taken of them."""
+    class RecordedDraw(np.ndarray):
+        """Normals that keep each matrix product taken of them."""
 
         def __matmul__(self, other):
             out = np.asarray(self) @ other
             products.append(out)
             return out
 
-    def recorded(*args, **kwargs):
-        rows = sample_fgn(*args, **kwargs)
-        chunks.append(rows)
-        return rows.view(RecordedRows)
+    class RecordingRng:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(experiments.fbm_mod, "sample_fgn", recorded)
-    hurst = 0.75
-    experiments._fbm_cov_cell(hurst, 1100, n, 7)  # at least two chunks at every n
+        def standard_normal(self, shape):
+            normals = self.rng.standard_normal(shape)
+            draws.append(normals)
+            return normals.view(RecordedDraw)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordingRng(default_rng(seed)))
+    hurst, n_paths, seed = 0.75, 1100, 7
+    experiments._fbm_cov_cell(hurst, n_paths, n, seed)  # at least two chunks at every n
     picks = np.maximum(np.linspace(n // 5, n, 5).astype(int), 1)
-    assert len(products) == len(chunks) > 1
-    for rows, got in zip(chunks, products):
+    assert len(products) == len(draws) > 1
+    np.testing.assert_array_equal(
+        np.concatenate(draws),
+        default_rng([seed, int(hurst * 1000)]).standard_normal((n_paths, 2 * n)))
+    for normals, got in zip(draws, products):
+        rows = sample_fgn(hurst, n, _Replay(normals), size=normals.shape[0])
         want = reference_fbm_picks(rows, picks, hurst)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semimarket.config import model_from_dict
-from semimarket.experiments import ASYMMETRIC_MODEL, alpha_variant
+from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, alpha_variant
 from semimarket.distributions import Exponential, Pareto
 from semimarket import renewal
 from semimarket.renewal import (
@@ -639,6 +639,28 @@ def test_coarse_grid_rejected_by_precondition(example_a):
     g = Grid.for_horizon(10.0, 0.2)  # min mean sojourn = 1 => dt must be <= 0.05
     with pytest.raises(ValueError, match="coarse"):
         stationary_transition(example_a, g)
+
+
+@pytest.mark.parametrize("config", [EXAMPLE_A_MODEL, ASYMMETRIC_MODEL],
+                         ids=["example_a", "asymmetric"])
+def test_renewal_layer_takes_no_zero_kernel_convolution(config, monkeypatch):
+    # a Stieltjes convolution with zero increments adds exact zeros, so the
+    # three-mood models' zero kernel pairs are skipped: 6 of 14 convolutions
+    # in covariance_gamma and 12 of 33 in stationary_transition
+    model = model_from_dict(config)
+    g = Grid.for_horizon(4.0, 0.02)
+    increments = []
+
+    def recorded(dF, values):
+        increments.append(np.asarray(dF))
+        return conv_stieltjes(dF, values)
+
+    monkeypatch.setattr(renewal, "conv_stieltjes", recorded)
+    covariance_gamma(model, g)
+    n_gamma = len(increments)
+    stationary_transition(model, g)
+    assert (n_gamma, len(increments) - n_gamma) == (8, 21)
+    assert all(dF.any() for dF in increments)
 
 
 # -- tail constants, covariance, variance ----------------------------------------------
