@@ -11,11 +11,10 @@ from semimarket import (
     expected_visits_before_hit,
     limit_constant_c2,
     load_model,
-    sample_stationary_path,
     stationary_law,
     validate_model,
 )
-from semimarket.semi_markov import theorem_condition_value
+from semimarket.semi_markov import jump_rounds, theorem_condition_value
 
 for name in ("example_a", "asymmetric"):
     model = load_model(f"configs/{name}.json")
@@ -33,10 +32,15 @@ for name in ("example_a", "asymmetric"):
         print("limit constant c^2 =", round(limit_constant_c2(model), 6),
               " Hurst:", model.hurst())
 
-# occupation fractions of one stationary path against nu
+# occupation fractions of one stationary agent of the engine against nu
 model = load_model("configs/example_a.json")
 law = stationary_law(model)
-traj = sample_stationary_path(model, 20000.0, np.random.default_rng(7))
-durations = np.diff(np.append(traj.jump_times, traj.horizon))
-occ = np.array([durations[traj.states == s].sum() for s in (-1, 0, 1)]) / traj.horizon
+horizon = 20000.0
+rounds = jump_rounds(model, 1, horizon, np.random.default_rng(7))
+times, visited = [0.0], [next(rounds)[0]]
+for _, t, _, dst in rounds:
+    times.append(t[0])
+    visited.append(dst[0])
+durations = np.diff(np.append(times, horizon))
+occ = np.bincount(visited, weights=durations, minlength=len(model.states)) / horizon
 print("occupation fractions over one long path:", np.round(occ, 4), " nu:", law.nu)

@@ -13,12 +13,9 @@ from .paths import SamplePath
 from .semi_markov import (
     SemiMarkovModel,
     StationaryLaw,
-    Trajectory,
     expected_visits_before_hit,
     hurst_from_alpha,
     limit_constant_c2,
-    sample_path,
-    sample_stationary_path,
     stationary_law,
     tail_constant_Cj,
     validate_model,

@@ -170,8 +170,6 @@ _PARAM_CHECKS = {
     "slope_band": _PAIR,
     "slope_window": ("a [low, high] pair with 0 < low < high <= renewal_horizon",
                      lambda v, p: _pair(v, p["renewal_horizon"]) and 0.0 < v[0] < v[1]),
-    "sweep_epsilon": ("a possibly empty list of numbers in (0, inf)",
-                      lambda v, p: _numbers(v, lambda e: 0.0 < e < np.inf, least=0)),
     # mixed-market compares its first two rhos, each with round(rho * n_agents) >= 1
     "rhos": ("two or more numbers with rho * n_agents > 0.5, so each has an active agent",
              lambda v, p: _numbers(v, lambda r: 0.5 < r * p["n_agents"] < np.inf, least=2)),
@@ -340,16 +338,11 @@ def _one_market_hurst(args):
     return vario.h_hat, aggvar.h_hat, agg if replicate == 0 else None
 
 
-def _replicate_hursts(model_dict, p, seed, scaling, threads):
-    """Both Hurst estimates of each of the p["seeds"] replicates, and replicate 0's path."""
+def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
+    """Median-Hurst cell over the p["seeds"] replicates, and replicate 0's aggregate path."""
     args = [(model_dict, p, seed, rep, scaling) for rep in range(p["seeds"])]
     results = _pmap(_one_market_hurst, args, threads)
-    return [r[0] for r in results], [r[1] for r in results], results[0][2]
-
-
-def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
-    """Median-Hurst cell over the replicates, and replicate 0's aggregate path."""
-    h_v, h_a, agg0 = _replicate_hursts(model_dict, p, seed, scaling, threads)
+    h_v, h_a = [r[0] for r in results], [r[1] for r in results]
     med_v, med_a = float(np.median(h_v)), float(np.median(h_a))
     verdicts = [
         _verdict(f"{name}_median_hurst", med_v, band=tuple(p["band"])),
@@ -357,7 +350,7 @@ def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
     ]
     metrics = {"hurst_variogram": h_v, "hurst_aggvar": h_a,
                "median_variogram": med_v, "median_aggvar": med_a}
-    return _cell(name, metrics, verdicts), agg0
+    return _cell(name, metrics, verdicts), results[0][2]
 
 
 def _path_artifacts(name, agg):
@@ -408,18 +401,7 @@ def run_limit_verification(p, seed, model, threads):
     )
     artifacts["gamma.csv"] = ("gamma", gamma)
     artifacts["variance.csv"] = ("variance", var)
-    cells = [cell, var_cell]
-    # optional sweep cells: informational medians along an (epsilon, N) grid
-    for eps in p["sweep_epsilon"]:
-        q = dict(p, epsilon=eps, seeds=max(3, p["seeds"] // 3))
-        h_v, h_a, _ = _replicate_hursts(model, q, seed, "fractional", threads)
-        cells.append(_cell(
-            f"sweep_eps_{eps:g}",
-            {"epsilon": eps, "median_variogram": float(np.median(h_v)),
-             "median_aggvar": float(np.median(h_a))},
-            [],
-        ))
-    return cells, artifacts
+    return [cell, var_cell], artifacts
 
 
 # -- renewal tables -------------------------------------------------------------
@@ -673,7 +655,7 @@ EXPERIMENT_KINDS = {
     "markov-baseline": (run_markov_baseline, MARKOV_MODEL, _MARKET),
     "limit-verification": (run_limit_verification, LIMIT_MODEL, dict(
         _MARKET, band=(0.67, 0.83), renewal_dt=0.025, renewal_horizon=1.05e4,
-        slope_window=(1e2, 1e4), slope_band=(1.4, 1.6), sweep_epsilon=())),
+        slope_window=(1e2, 1e4), slope_band=(1.4, 1.6))),
     "renewal-tables": (run_renewal_tables, EXAMPLE_A_MODEL, {
         "dt": 0.005, "horizon": 12.0, "mc_replicates": 100000,
         "t_checks": (1.0, 5.0, 10.0), "stationarity_rep": 3000, "stationarity_seeds": 10}),

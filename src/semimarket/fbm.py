@@ -5,13 +5,14 @@ circulant (Davies-Harte, Wood-Chan), exact in law and O(n log n).  Its
 spectrum depends only on (H, n), so its square root, with the FFT's sqrt(2n)
 and the 1/sqrt(2) of the complex pairs folded in, is computed once by a real
 FFT and cached; k paths are one (k, 2n) normal draw, one complex multiply by
-that root and one real inverse FFT over the rows.  A Cholesky fallback covers
-n < 16 and embeddings with negative eigenvalues.  Either route is one fixed
-linear map of a row's normals, and `partial_sum_map` is that map transposed
-onto a few partial sums: a caller that needs B at a handful of times reads
-them by one product with the same normals, with no inverse FFT.  Two
-independent log-log regression estimators (aggregated variance, variogram)
-serve as the verification instruments for the scaling-limit experiments.
+that root and one real inverse FFT over the rows.  The minimal embedding of
+fGn is nonnegative definite for every H in (0, 1) and every n (Craigmile
+2003), so it is the only route.  A row is one fixed linear map of its
+normals, and `partial_sum_map` is that map transposed onto a few partial
+sums: a caller that needs B at a handful of times reads them by one product
+with the same normals, with no inverse FFT.  Two independent log-log
+regression estimators (aggregated variance, variogram) serve as the
+verification instruments for the scaling-limit experiments.
 """
 from __future__ import annotations
 
@@ -61,18 +62,21 @@ def fgn_autocovariance(hurst, lag):
 
 @functools.lru_cache(maxsize=8)
 def _embedding_root(hurst, n):
-    """Read-only scaled sqrt of the 2n circulant-embedding eigenvalues 0..n, or None.
+    """Read-only scaled sqrt of the 2n circulant-embedding eigenvalues 0..n.
 
     The circulant is symmetric, so `rfft` gives its eigenvalues and the other
-    n - 1 repeat these; None means the embedding is not nonnegative definite.
-    Entry k is sqrt(2n * eig_k), halved in variance (sqrt(n * eig_k)) for the
-    complex terms 0 < k < n, so one product with the normals is the spectrum
-    whose `irfft` is the path.
+    n - 1 repeat these; an eigenvalue below -1e-8, which fGn's embedding never
+    has, raises ValueError.  Entry k is sqrt(2n * eig_k), halved in variance
+    (sqrt(n * eig_k)) for the complex terms 0 < k < n, so one product with the
+    normals is the spectrum whose `irfft` is the path.
     """
+    if n < 1:
+        raise ValueError("need at least one increment")
     row = fgn_autocovariance(hurst, np.arange(n + 1))
     eig = np.fft.rfft(np.concatenate([row, row[-2:0:-1]])).real
     if eig.min() < -1e-8:
-        return None
+        raise ValueError(f"circulant embedding of fGn (H={hurst}, n={n}) has a negative "
+                         f"eigenvalue {eig.min():.3e}")
     scale = np.full(n + 1, float(n))
     scale[[0, n]] = 2.0 * n
     root = np.sqrt(np.clip(eig, 0.0, None) * scale)
@@ -80,55 +84,35 @@ def _embedding_root(hurst, n):
     return root
 
 
-def _cholesky_factor(hurst, n):
-    """Lower Cholesky factor of the n x n fGn covariance matrix."""
-    lags = np.arange(n)
-    return np.linalg.cholesky(fgn_autocovariance(hurst, np.abs(lags[:, None] - lags)))
-
-
-def _route_root(hurst, n):
-    """The embedding root `sample_fgn` uses, or None on its Cholesky route."""
-    if n < 1:
-        raise ValueError("need at least one increment")
-    return _embedding_root(hurst, n) if n >= 16 else None
-
-
 def sample_fgn(hurst, n, rng, size=None):
-    """Unit-variance fGn: shape (n,) for size None, (size, n) for an int.
+    """Unit-variance fGn by circulant embedding: shape (n,), or (size, n) for an int size.
 
     Each row draws 2n standard normals (z0, z_n, then re/im pairs), so row r
     equals the r-th of `size` single-path calls on the same stream.
     """
     k = 1 if size is None else size
-    root = _route_root(hurst, n)
-    if root is None:
-        rows = rng.standard_normal((k, n)) @ _cholesky_factor(hurst, n).T
-    else:
-        g = rng.standard_normal((k, 2 * n))
-        spec = np.empty((k, n + 1), dtype=complex)
-        np.multiply(g.view(complex), root[:n], out=spec[:, :n])
-        spec[:, 0] = g[:, 0] * root[0]
-        spec[:, n] = g[:, 1] * root[n]
-        rows = np.fft.irfft(spec, 2 * n, axis=1)[:, :n]
+    root = _embedding_root(hurst, n)
+    g = rng.standard_normal((k, 2 * n))
+    spec = np.empty((k, n + 1), dtype=complex)
+    np.multiply(g.view(complex), root[:n], out=spec[:, :n])
+    spec[:, 0] = g[:, 0] * root[0]
+    spec[:, n] = g[:, 1] * root[n]
+    rows = np.fft.irfft(spec, 2 * n, axis=1)[:, :n]
     return rows[0] if size is None else rows
 
 
 def partial_sum_map(hurst, n, ends):
     """Matrix L with (normals @ L)[:, c] = sum of the first ends[c] fGn steps.
 
-    `normals` are the rows `sample_fgn(hurst, n, ...)` draws: L has 2n rows on
-    the embedding route and n on the Cholesky route, so `L.shape[0]` is the
-    width of a draw.  On the embedding route L is the adjoint of the rows'
-    `irfft`: the length-2n `rfft` of the step indicators, weighted by the
-    root, with z0 and z_n taking the real k = 0 and k = n terms and the
-    pair (2k, 2k + 1) the real and imaginary part of term k.
+    `normals` are the rows of 2n that `sample_fgn(hurst, n, ...)` draws, so L
+    has 2n rows.  L is the adjoint of the rows' `irfft`: the length-2n `rfft`
+    of the step indicators, weighted by the root, with z0 and z_n taking the
+    real k = 0 and k = n terms and the pair (2k, 2k + 1) the real and
+    imaginary part of term k.
     """
     ind = np.arange(n)[:, None] < np.asarray(ends)
-    root = _route_root(hurst, n)
-    if root is None:
-        return _cholesky_factor(hurst, n).T @ ind
     # irfft divides by 2n and counts each complex term 0 < k < n twice
-    spec = np.fft.rfft(ind, 2 * n, axis=0) * (root[:, None] / n)
+    spec = np.fft.rfft(ind, 2 * n, axis=0) * (_embedding_root(hurst, n)[:, None] / n)
     out = np.empty((n, 2, ind.shape[1]))
     out[:, 0] = spec[:n].real
     out[:, 1] = spec[:n].imag

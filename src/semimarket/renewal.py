@@ -36,7 +36,6 @@ __all__ = [
     "KernelGrid",
     "kernel_on_grid",
     "first_passage",
-    "stationary_first_passage",
     "stationary_transition",
     "covariance_gamma",
     "variance_of_integral",
@@ -111,10 +110,12 @@ class KernelGrid:
     q: np.ndarray          # (E, E, M)
     survival: np.ndarray   # h(i, t) = 1 - sum_j Q(i,j,t), exact
 
-    @property
+    @functools.cached_property
     def dq(self):
+        """Read-only kernel increments Q(i,j,t_m) - Q(i,j,t_{m-1}), 0 at m = 0; built once."""
         inc = np.zeros_like(self.q)
         inc[:, :, 1:] = np.diff(self.q, axis=2)
+        inc.flags.writeable = False
         return inc
 
 
@@ -415,13 +416,6 @@ def _fstar(shat_row, passage, states, target):
         dsh[1:] = np.diff(shat_row[kk])
         out += conv_stieltjes(dsh, passage[k].values)
     return GridFunction(grid, np.clip(out, 0.0, None), kind="distribution")
-
-
-def stationary_first_passage(model: SemiMarkovModel, grid: Grid, start, target):
-    """F*(start, target, .): first passage to target under the equilibrium initial law."""
-    _, shat = _stationary_pieces(model, grid)
-    return _fstar(shat[model.states.index(start)], first_passage(model, grid, target),
-                  model.states, target)
 
 
 def _equilibrium_deviations(model, grid, targets, weights):

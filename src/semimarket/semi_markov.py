@@ -20,15 +20,12 @@ from .distributions import SojournLaw
 __all__ = [
     "SemiMarkovModel",
     "StationaryLaw",
-    "Trajectory",
     "validate_model",
     "stationary_law",
     "expected_visits_before_hit",
     "tail_constant_Cj",
     "limit_constant_c2",
     "hurst_from_alpha",
-    "sample_path",
-    "sample_stationary_path",
     "jump_rounds",
     "states_at_times",
 ]
@@ -115,25 +112,6 @@ class StationaryLaw:
     m_cond: np.ndarray
     eta: np.ndarray
     mu: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Piecewise-constant path: states[k] on [jump_times[k], jump_times[k+1])."""
-
-    jump_times: np.ndarray
-    states: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
-        st = np.asarray(self.states)
-        if jt[0] != 0.0 or np.any(np.diff(jt) <= 0.0):
-            raise ValueError("jump times must start at 0 and strictly increase")
-        if jt.size != st.size:
-            raise ValueError("one state per inter-jump segment required")
-        object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "states", st)
 
 
 # -- validation and equilibrium --------------------------------------------
@@ -421,30 +399,6 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
         live = t < horizon
         if not live.all():
             agents, t, src, dst = agents[live], t[live], src[live], dst[live]
-
-
-def _trajectory(model, horizon, rng, stationary=True, initial_state=None):
-    """One agent's path from the engine: every jump round adds one segment."""
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
-    rounds = jump_rounds(model, 1, horizon, rng, stationary=stationary,
-                         initial_state=initial_state)
-    times, visited = [0.0], [int(next(rounds)[0])]
-    for _, t, _, dst in rounds:
-        times.append(float(t[0]))
-        visited.append(int(dst[0]))
-    labels = np.array(model.states)
-    return Trajectory(np.asarray(times), labels[visited], horizon)
-
-
-def sample_path(model: SemiMarkovModel, initial_state, horizon, rng) -> Trajectory:
-    """Simulate from a fixed initial state at time 0 until the horizon is covered."""
-    return _trajectory(model, horizon, rng, stationary=False, initial_state=initial_state)
-
-
-def sample_stationary_path(model: SemiMarkovModel, horizon, rng) -> Trajectory:
-    """Simulate under the stationary law: equilibrium initial triple, then the kernel."""
-    return _trajectory(model, horizon, rng)
 
 
 def states_at_times(model: SemiMarkovModel, times, n_replicates, rng, initial_state=None):

@@ -1,18 +1,22 @@
 """Closed-form and Monte Carlo oracles that the tests check the package against.
 
-They live beside the tests because no experiment kind calls them: the exact
-integral of a one-agent trajectory, the renewal function, the equilibrium CDF,
-the drift-condition report, the goodness moments of an amplitude model, a
+They live beside the tests because no experiment kind calls them: the
+one-agent sampler and the exact integral of its trajectory, the first passage
+from the equilibrium start, the renewal function, the equilibrium CDF, the
+drift-condition report, the goodness moments of an amplitude model, a
 reference agent engine whose random streams the package engine must reproduce,
 and the plain forms of the marginal sampler, the fGn assembly and the
 covariance self-test's path values that the package's faster forms must match.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from semimarket.fbm import fgn_autocovariance
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
-from semimarket.renewal import GridFunction, _renewal_solve, _volterra_system
+from semimarket.renewal import GridFunction, _fstar, _renewal_solve, _stationary_pieces, \
+    _volterra_system, first_passage
 from semimarket.semi_markov import _cumulative, _pick, jump_rounds, stationary_law, \
     theorem_condition_value
 
@@ -25,6 +29,13 @@ def of_state(law, vec, label):
 def equilibrium_cdf(law, t):
     """CDF of the residual-life law with density tail(t)/mean."""
     return 1.0 - law.integrated_tail(np.asarray(t, dtype=float)) / law.mean
+
+
+def stationary_first_passage(model, grid, start, target):
+    """F*(start, target, .): first passage to target under the equilibrium initial law."""
+    _, shat = _stationary_pieces(model, grid)
+    return _fstar(shat[model.states.index(start)], first_passage(model, grid, target),
+                  model.states, target)
 
 
 def renewal_function(f_jj: GridFunction) -> GridFunction:
@@ -189,6 +200,76 @@ def reference_fbm_picks(fgn, picks, hurst):
 
 
 # -- one trajectory ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Piecewise-constant path: states[k] on [jump_times[k], jump_times[k+1])."""
+
+    jump_times: np.ndarray
+    states: np.ndarray
+    horizon: float
+
+    def __post_init__(self):
+        jt = np.asarray(self.jump_times, dtype=float)
+        st = np.asarray(self.states)
+        if jt[0] != 0.0 or np.any(np.diff(jt) <= 0.0):
+            raise ValueError("jump times must start at 0 and strictly increase")
+        if jt.size != st.size:
+            raise ValueError("one state per inter-jump segment required")
+        object.__setattr__(self, "jump_times", jt)
+        object.__setattr__(self, "states", st)
+
+
+def one_agent_path(model, horizon, rng, stationary=True, initial_state=None):
+    """One agent's Trajectory on [0, horizon) by a plain loop over its jumps.
+
+    It takes the draws `jump_rounds(model, 1, ...)` takes, in the same order:
+    rng.random(1) for xi_0 unless initial_state is given, rng.random(1) for
+    xi_1 and one sampler call for the first sojourn (residual when
+    stationary), then rng.random(2) per jump: the next state, then the
+    sojourn uniform for the law of the (entered, next) pair.
+    """
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    if not stationary and initial_state is None:
+        raise ValueError("a non-stationary start needs an initial_state")
+    states, p = model.states, model.p
+
+    def pick(cum, u):
+        return int(_pick(cum, u)[0])
+
+    kernel_cum = _cumulative(p)
+    start_cum = kernel_cum
+    if stationary:
+        law = stationary_law(model)
+        weights = p * law.m_cond
+        start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
+    if initial_state is None:
+        cur = pick(_cumulative(law.nu), rng.random(1))
+    else:
+        cur = states.index(initial_state)
+    nxt = pick(start_cum[cur], rng.random(1))
+    first = model.law(states[cur], states[nxt])
+    t = float((first.equilibrium_sample if stationary else first.sample)(rng, 1)[0])
+    times, visited = [0.0], [cur]
+    while t < horizon:
+        times.append(t)
+        visited.append(nxt)
+        u = rng.random(2)
+        cur, nxt = nxt, pick(kernel_cum[nxt], u[:1])
+        t += float(model.law(states[cur], states[nxt]).ppf(u[1:])[0])
+    return Trajectory(np.array(times), np.array(states)[visited], horizon)
+
+
+def sample_path(model, initial_state, horizon, rng):
+    """One agent from a fixed initial state at time 0, fresh kernel sojourns."""
+    return one_agent_path(model, horizon, rng, stationary=False, initial_state=initial_state)
+
+
+def sample_stationary_path(model, horizon, rng):
+    """One agent under the stationary law: equilibrium initial triple, then the kernel."""
+    return one_agent_path(model, horizon, rng)
+
 
 def occupation_times(traj, labels):
     """Total time a Trajectory spends in each label over [0, horizon]."""

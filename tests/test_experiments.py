@@ -492,19 +492,6 @@ def test_threads_market_sweep_matches_serial():
     assert serial["cells"] == parallel["cells"]
 
 
-def test_limit_verification_sweep_cells():
-    report = run(ExperimentSpec(kind="limit-verification", seed=9, params={
-        "seeds": 2, "n_agents": 60, "horizon": 8.0, "n_grid": 2**10 + 1, "min_lag": 4,
-        "renewal_horizon": 120.0, "renewal_dt": 0.05, "slope_window": (5.0, 100.0),
-        "slope_band": (0.0, 3.0), "sweep_epsilon": (0.05, 0.02)}))
-    cells = report["cells"]
-    names = [c["name"] for c in cells]
-    assert "sweep_eps_0.05" in names and "sweep_eps_0.02" in names
-    sweep = [c for c in cells if c["name"].startswith("sweep_")]
-    assert all(0.0 < c["metrics"]["median_variogram"] < 1.0 for c in sweep)
-    assert all(c["verdicts"] == [] for c in sweep)
-
-
 def test_market_kinds_simulate_each_replicate_once(tmp_path, monkeypatch):
     # replicate 0's path comes from the Hurst pass: no second simulation for the
     # CSV artifacts or the variance-linearity fit
@@ -598,7 +585,7 @@ _BAD_COUNTS = (
     ("mixed-market", {"qv_blocks": [0, 8]}, "qv_blocks"),
     ("mixed-market", {"c2_dt": 0}, "c2_dt"),
     ("mixed-market", {"rhos": ["0.5", 1.0]}, "rhos"),
-    ("limit-verification", {"sweep_epsilon": [0]}, "sweep_epsilon"),
+    ("limit-verification", {"slope_window": [0.0, 1e4]}, "slope_window"),
     ("limit-verification", {"renewal_dt": 0}, "renewal_dt"),
     ("limit-verification", {"renewal_horizon": 200}, "slope_window"),
     ("example-a", {"band": [0.5]}, "band"),

@@ -33,10 +33,6 @@ def sample_mixed(hurst, delta, n, dt, rng) -> SamplePath:
 
 def per_path_fgn(hurst, n, rng):
     """Oracle: one path per call, eigenvalues recomputed, complex 2n-point ifft."""
-    if n < 16:
-        lags = np.arange(n)
-        cov = fgn_autocovariance(hurst, np.abs(lags[:, None] - lags[None, :]))
-        return np.linalg.cholesky(cov) @ rng.standard_normal(n)
     row = fgn_autocovariance(hurst, np.arange(n + 1))
     eig = np.clip(np.fft.fft(np.concatenate([row, row[-2:0:-1]])).real, 0.0, None)
     m = 2 * n
@@ -136,10 +132,18 @@ def test_fbm_starts_at_zero_and_shapes():
     assert path.horizon == pytest.approx(25.0)
 
 
-def test_fgn_small_n_cholesky_path():
-    rng = np.random.default_rng(4)
-    x = sample_fgn(0.8, 8, rng)
-    assert x.shape == (8,)
+def test_partial_sum_map_is_exact_for_small_n():
+    # the embedding is the only route, down to n = 1: L^T L is the exact fBm
+    # covariance of B at the integer times 1..n
+    for n in range(1, 16):
+        k = np.arange(1, n + 1)
+        for hurst in (0.05, 0.3, 0.5, 0.75, 0.95):
+            pick_map = fbm_mod.partial_sum_map(hurst, n, k)
+            assert pick_map.shape == (2 * n, n)
+            two_h = 2.0 * hurst
+            exact = 0.5 * (k[:, None] ** two_h + k ** two_h
+                           - np.abs(k[:, None] - k).astype(float) ** two_h)
+            np.testing.assert_allclose(pick_map.T @ pick_map, exact, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [8, 16, 1024, 2**14])
@@ -175,11 +179,11 @@ def test_fgn_matches_frozen_assembly(hurst, n, size):
 @pytest.mark.parametrize("hurst", [0.3, 0.75, 0.9])
 def test_partial_sum_map_matches_cumsum_of_fgn(hurst, n):
     # normals @ map equals the cumulative fGn rows drawn from the same stream,
-    # read at the ends, on the Cholesky (n = 8) and the embedding route
+    # read at the ends
     ends = np.array([1, 3, n // 2, n - 1, n])
     rngs = [np.random.default_rng([31, n]) for _ in range(2)]
     pick_map = fbm_mod.partial_sum_map(hurst, n, ends)
-    assert pick_map.shape == (n if n < 16 else 2 * n, ends.size)
+    assert pick_map.shape == (2 * n, ends.size)
     got = rngs[0].standard_normal((5, pick_map.shape[0])) @ pick_map
     want = np.cumsum(sample_fgn(hurst, n, rngs[1], size=5), axis=1)[:, ends - 1]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())

@@ -14,9 +14,9 @@ from semimarket.market import (
     simulate_amplitude,
     simulate_market,
 )
-from semimarket.semi_markov import jump_rounds, sample_stationary_path, stationary_law
+from semimarket.semi_markov import jump_rounds, stationary_law
 
-from oracles import integrate_trajectory, theorem_condition
+from oracles import integrate_trajectory, sample_stationary_path, theorem_condition
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],

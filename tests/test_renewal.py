@@ -22,7 +22,6 @@ from semimarket.renewal import (
     kernel_on_grid,
     key_renewal_asymptote,
     solve_volterra,
-    stationary_first_passage,
     stationary_transition,
     variance_of_integral,
     write_grid_csv,
@@ -30,7 +29,7 @@ from semimarket.renewal import (
 from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law, \
     tail_constant_Cj
 
-from oracles import of_state, renewal_function, volterra_longdouble
+from oracles import of_state, renewal_function, stationary_first_passage, volterra_longdouble
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],
@@ -123,6 +122,15 @@ def test_kernel_identity_q_plus_h(example_a):
     kernel = kernel_on_grid(example_a, g)
     total = kernel.q.sum(axis=1) + kernel.survival
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+
+def test_kernel_increments_are_built_once(example_a):
+    # every first passage reads dq; one shared read-only table, not a copy per read
+    kernel = kernel_on_grid(example_a, Grid.for_horizon(20.0, 0.05))
+    assert kernel.dq is kernel.dq
+    assert not kernel.dq.flags.writeable
+    np.testing.assert_array_equal(kernel.dq[:, :, 0], 0.0)
+    np.testing.assert_array_equal(kernel.dq[:, :, 1:], np.diff(kernel.q, axis=2))
 
 
 def test_survival_markov_kernel_exponential():
@@ -514,7 +522,7 @@ def test_stationary_first_passage_matches_mc():
     fstar = stationary_first_passage(model, g, 0, 1)
     # MC oracle: time of first visit to 1 from stationary start at 0
     rng = np.random.default_rng(3)
-    from semimarket.semi_markov import sample_stationary_path
+    from oracles import sample_stationary_path
 
     hits = []
     want = 4000

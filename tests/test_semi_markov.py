@@ -6,29 +6,30 @@ from scipy.stats import kstest
 
 from semimarket import semi_markov
 from semimarket.config import model_from_dict
-from semimarket.experiments import LIMIT_MODEL, MARKOV_MODEL
+from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, LIMIT_MODEL, MARKOV_MODEL
 from semimarket.paths import SamplePath
 from semimarket.semi_markov import (
     SemiMarkovModel,
-    Trajectory,
     expected_visits_before_hit,
     hurst_from_alpha,
     jump_rounds,
     limit_constant_c2,
-    sample_path,
-    sample_stationary_path,
     states_at_times,
     stationary_law,
     validate_model,
 )
 
 from oracles import (
+    Trajectory,
     integral_at,
     integrate_trajectory,
     occupation_times,
     of_state,
+    one_agent_path,
     reference_jump_rounds,
     reference_states_at_times,
+    sample_path,
+    sample_stationary_path,
 )
 
 EXAMPLE_A = {
@@ -457,6 +458,30 @@ def test_engine_samplers_match_reference(name, monkeypatch):
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+ONE_AGENT_MODELS = {"example-a": EXAMPLE_A_MODEL, "asymmetric": ASYMMETRIC_MODEL,
+                    "markov": MARKOV_MODEL, "per-edge": PER_EDGE}
+
+
+@pytest.mark.parametrize("start", ENGINE_STARTS)
+@pytest.mark.parametrize("name", ONE_AGENT_MODELS)
+def test_one_agent_oracle_matches_engine(name, start):
+    # the plain one-agent loop takes the engine's draws: the same jump times
+    # and states, bit for bit, as the single agent of jump_rounds
+    model = model_from_dict(ONE_AGENT_MODELS[name])
+    kw = ENGINE_STARTS[start]
+    rngs = [np.random.default_rng(17) for _ in range(2)]
+    traj = one_agent_path(model, 200.0, rngs[0], **kw)
+    rounds = jump_rounds(model, 1, 200.0, rngs[1], **kw)
+    times, visited = [0.0], [int(next(rounds)[0])]
+    for _, t, _, dst in rounds:
+        times.append(float(t[0]))
+        visited.append(int(dst[0]))
+    assert traj.jump_times.size > 20
+    assert traj.jump_times.tolist() == times
+    assert traj.states.tolist() == [model.states[k] for k in visited]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @pytest.mark.parametrize("initial_state", [None, 0, 1])
