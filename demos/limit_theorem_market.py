@@ -5,8 +5,6 @@ With heavy-tailed inactivity (tail index alpha = 1.5) the rescaled path
 approaches an integral against fractional Brownian motion with H = 0.75; the
 coarse-lag Hurst estimates land near it already at eps = 1e-3.
 """
-import numpy as np
-
 from semimarket import AmplitudeModel, MarketConfig, model_from_dict, simulate_market
 from semimarket.experiments import LIMIT_MODEL, market_hurst
 

@@ -10,7 +10,6 @@ from semimarket import (
     Grid,
     asymptotic_covariance,
     covariance_gamma,
-    first_passage,
     load_model,
     stationary_law,
     stationary_transition,

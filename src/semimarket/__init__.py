@@ -22,7 +22,6 @@ from .semi_markov import (
 )
 from .renewal import (
     Grid,
-    GridFunction,
     asymptotic_covariance,
     covariance_gamma,
     first_passage,

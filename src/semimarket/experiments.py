@@ -217,10 +217,12 @@ def fit_slope(xs, ys):
 
 
 def _verdict(name, value, band=None, passed=None):
+    """Value against band; a None value fails, an infinite band side is written as None."""
     if passed is None:
-        passed = bool(band[0] <= value <= band[1])
+        passed = value is not None and bool(band[0] <= value <= band[1])
+    band = None if band is None else [None if math.isinf(b) else b for b in band]
     return {"name": name, "value": float(value) if np.isscalar(value) else value,
-            "band": list(band) if band is not None else None, "passed": bool(passed)}
+            "band": band, "passed": bool(passed)}
 
 
 def _cell(name, metrics, verdicts):
@@ -329,27 +331,43 @@ def _market_config(model_dict, p, seed):
 
 
 def _one_market_hurst(args):
-    """Hurst estimates of one replicate; replicate 0 also hands back its path."""
+    """Hurst estimates of one replicate, or None and why (a path no agent moved has none).
+
+    Replicate 0 also hands back its path.
+    """
     model_dict, p, seed, replicate, scaling = args
     cfg = _market_config(model_dict, p, seed)
     simulate = mkt.markov_market if scaling == "markov" else mkt.simulate_market
     agg = simulate(cfg, replicate=replicate)
-    vario, aggvar = market_hurst(agg.path(), min_lag=p["min_lag"])
-    return vario.h_hat, aggvar.h_hat, agg if replicate == 0 else None
+    agg0 = agg if replicate == 0 else None
+    try:
+        vario, aggvar = market_hurst(agg.path(), min_lag=p["min_lag"])
+    except ValueError as exc:
+        return None, None, agg0, f"replicate {replicate}: {exc}"
+    return vario.h_hat, aggvar.h_hat, agg0, None
 
 
 def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
-    """Median-Hurst cell over the p["seeds"] replicates, and replicate 0's aggregate path."""
+    """Median-Hurst cell over the p["seeds"] replicates, and replicate 0's aggregate path.
+
+    A replicate without estimates leaves the medians None, failing both verdicts.
+    """
     args = [(model_dict, p, seed, rep, scaling) for rep in range(p["seeds"])]
     results = _pmap(_one_market_hurst, args, threads)
     h_v, h_a = [r[0] for r in results], [r[1] for r in results]
-    med_v, med_a = float(np.median(h_v)), float(np.median(h_a))
+    failures = [r[3] for r in results if r[3] is not None]
+    med_v = med_a = gap = None
+    if not failures:
+        med_v, med_a = float(np.median(h_v)), float(np.median(h_a))
+        gap = abs(med_v - med_a)
     verdicts = [
         _verdict(f"{name}_median_hurst", med_v, band=tuple(p["band"])),
-        _verdict(f"{name}_estimator_agreement", abs(med_v - med_a), band=(0.0, 0.1)),
+        _verdict(f"{name}_estimator_agreement", gap, band=(0.0, 0.1)),
     ]
     metrics = {"hurst_variogram": h_v, "hurst_aggvar": h_a,
                "median_variogram": med_v, "median_aggvar": med_a}
+    if failures:
+        metrics["failures"] = failures
     return _cell(name, metrics, verdicts), results[0][2]
 
 
@@ -591,8 +609,8 @@ def run_key_renewal(p, seed, model, threads):
 
     law = Pareto(scale=p["scale"], alpha=p["alpha"])
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
-    z = rnw.GridFunction(grid, np.exp(-grid.times()), kind="plain")
-    h_num, h_pred, info = rnw.key_renewal_asymptote(law, z, grid)
+    z = SamplePath(grid.dt, np.exp(-grid.times()))
+    h_num, h_pred, info = rnw.key_renewal_asymptote(law, z)
     ladder = np.asarray(p["ladder"], dtype=float)
     ratios = h_num.at(ladder) / h_pred.at(ladder)
     gaps = np.abs(ratios - 1.0)

@@ -37,6 +37,10 @@ class SamplePath:
     def times(self):
         return self.dt * np.arange(self.n)
 
+    def at(self, t):
+        """Linear interpolation of the path at time(s) t."""
+        return np.interp(t, self.times, self.values)
+
     def to_csv(self, path):
         """Write the path as CSV with columns t,value."""
         rows = np.column_stack([self.times, self.values]).ravel().tolist()

@@ -8,17 +8,17 @@ that forms the equilibrium equations: the equations are linear in the start
 state, so weighted start states are summed first and each target state and
 weight row costs one scalar renewal solve.
 
-Numerics: uniform time grid; Stieltjes convolutions pair exact CDF increments
-with a piecewise-linear (trapezoid) interpolant of the continuous factor;
-implicit renewal-type equations are solved by the Newton series inverse of
-their lag blocks, O(M log M) for M grid points, then refined once.  The
-refinement's residual needs more than float64 precision and gets it from
-float64 alone: the lag blocks and the first solution are each split into an
-integer-valued high part and a remainder; the high parts' FFT product is
-rounded back to its exact integers, and the remainder's product is 2^-bits
-smaller than the whole, so its rounding error is too.  Horizons of ~10^4 time
-units at fine steps thus stay cheap and accurate to the last digits on any
-platform.
+Numerics: uniform time grid, results as `SamplePath`s; CDFs come in as grid
+values, and Stieltjes convolutions pair their exact increments with a
+piecewise-linear (trapezoid) interpolant of the continuous factor; implicit
+renewal-type equations are solved by the Newton series inverse of their lag
+blocks, O(M log M) for M grid points, then refined once.  The refinement's
+residual needs more than float64 precision and gets it from float64 alone:
+the lag blocks and the first solution are each split into an integer-valued
+high part and a remainder; the high parts' FFT product is rounded back to its
+exact integers, and the remainder's product is 2^-bits smaller than the
+whole, so its rounding error is too.  Horizons of ~10^4 time units at fine
+steps thus stay cheap and accurate to the last digits on any platform.
 """
 from __future__ import annotations
 
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import SamplePath
 from .semi_markov import SemiMarkovModel, limit_constant_c2, stationary_law
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "KernelGrid",
     "kernel_on_grid",
     "first_passage",
@@ -81,27 +81,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class GridFunction:
-    grid: Grid
-    values: np.ndarray
-    kind: str = "plain"  # distribution | plain
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_points,):
-            raise ValueError("values must match the grid size")
-        object.__setattr__(self, "values", v)
-        slack = 10.0 * self.grid.dt
-        if self.kind == "distribution":
-            if np.any(np.diff(v) < -slack) or v.min() < -slack or v.max() > 1.0 + slack:
-                raise ValueError("distribution-kind grid function out of bounds; "
-                                 "grid step too coarse for this kernel")
-
-    def at(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.grid.times(), self.values)
-
-
-@dataclass(frozen=True)
 class KernelGrid:
     """Semi-Markov kernel Q(i,j,t) = p_ij G(i,j,t) tabulated on a grid."""
 
@@ -109,14 +88,6 @@ class KernelGrid:
     states: tuple
     q: np.ndarray          # (E, E, M)
     survival: np.ndarray   # h(i, t) = 1 - sum_j Q(i,j,t), exact
-
-    @functools.cached_property
-    def dq(self):
-        """Read-only kernel increments Q(i,j,t_m) - Q(i,j,t_{m-1}), 0 at m = 0; built once."""
-        inc = np.zeros_like(self.q)
-        inc[:, :, 1:] = np.diff(self.q, axis=2)
-        inc.flags.writeable = False
-        return inc
 
 
 def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
@@ -167,16 +138,15 @@ def _cumulative_trapezoid(y, dx):
     return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
 
 
-def conv_stieltjes(dF, g):
+def conv_stieltjes(F, g):
     """(F * g)(t_m) = sum_l (g(t_{m-l}) + g(t_{m-l+1}))/2 dF_l over l = 1..m.
 
-    dF holds exact increments dF[l] = F(t_l) - F(t_{l-1}); dF[0], a point mass
-    of F at t = 0, is ignored.
+    F holds values on the grid, dF_l = F(t_l) - F(t_{l-1}) its exact
+    increments; an atom F(t_0) at t = 0 is ignored.
     """
-    dF = np.asarray(dF, dtype=float)
     g = np.asarray(g, dtype=float)
     m1 = g.size
-    u = dF[1:m1]
+    u = np.diff(np.asarray(F, dtype=float)[:m1])
     conv = _fftconvolve(u, g)
     out = np.empty(m1)
     out[0] = 0.0
@@ -289,32 +259,33 @@ def _toeplitz_product(coef, y, size):
     return exact / sc / sy, rest
 
 
-def _volterra_system(forcing, dk):
+def _volterra_system(forcing, kern):
     """Lag blocks coef (q, q, n) and right-hand side b (q, n) of the discretized equation.
 
-    coef[..., 0] = I - dk_1/2 multiplies x_m itself; coef[..., d] =
-    -(dk_d + dk_{d+1})/2 multiplies x_{m-d} for 1 <= d <= m-1; the known
-    x_0 = forcing[:, 0] terms dk_m/2 x_0 go to b.
+    With dk_d = K(t_d) - K(t_{d-1}): coef[..., 0] = I - dk_1/2 multiplies x_m
+    itself; coef[..., d] = -(dk_d + dk_{d+1})/2 multiplies x_{m-d} for
+    1 <= d <= m-1; the known x_0 = forcing[:, 0] terms dk_m/2 x_0 go to b.
     """
     q, m1 = forcing.shape
     n = m1 - 1
+    dk = np.diff(kern, axis=-1)  # dk[..., d - 1] = dk_d
     coef = np.empty((q, q, n))
-    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
-    coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:])
-    b = forcing[:, 1:] + 0.5 * np.einsum("ikm,k->im", dk[:, :, 1:], forcing[:, 0])
+    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 0]
+    coef[:, :, 1:] = -0.5 * (dk[:, :, : n - 1] + dk[:, :, 1:])
+    b = forcing[:, 1:] + 0.5 * np.einsum("ikm,k->im", dk, forcing[:, 0])
     return coef, b
 
 
-def solve_volterra(forcing, dk):
+def solve_volterra(forcing, kern):
     """Solve x_i(t) = f_i(t) + sum_k ∫_0^t x_k(t-u) dK_ik(u) on the grid.
 
-    forcing: (q, M) values of f_i; dk: (q, q, M) exact kernel increments with
-    dk[..., 0] == 0.  Trapezoid coupling in x, same quadrature as
-    conv_stieltjes.  The discretized equation is a block lower-triangular
-    Toeplitz system T x = b in x_1..x_{M-1} with lag blocks C_d, so its
-    inverse is block lower-triangular Toeplitz too, with the lag blocks D of
-    the series C(z)^-1.  D comes from the Newton series inverse (Kung 1974;
-    Brent & Kung 1978) in O(M log M); its spectrum, taken once, applies it.
+    forcing: (q, M) values of f_i; kern: (q, q, M) values of K_ik, differenced
+    here.  Trapezoid coupling in x, same quadrature as conv_stieltjes.  The
+    discretized equation is a block lower-triangular Toeplitz system T x = b
+    in x_1..x_{M-1} with lag blocks C_d, so its inverse is block
+    lower-triangular Toeplitz too, with the lag blocks D of the series
+    C(z)^-1.  D comes from the Newton series inverse (Kung 1974; Brent & Kung
+    1978) in O(M log M); its spectrum, taken once, applies it.
 
     The renewal structure carries the rounding errors of a solve forward and
     lets them grow along the grid, so one step of iterative refinement
@@ -326,14 +297,14 @@ def solve_volterra(forcing, dk):
     and the result about as accurate as its float64 rounding.
     """
     forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
-    dk = np.asarray(dk, dtype=float)
+    kern = np.asarray(kern, dtype=float)
     q, m1 = forcing.shape
-    if dk.shape != (q, q, m1):
-        raise ValueError("kernel increment array must have shape (q, q, M)")
+    if kern.shape != (q, q, m1):
+        raise ValueError("kernel value array must have shape (q, q, M)")
     n = m1 - 1
     if n == 0:
         return forcing.copy()
-    coef, b = _volterra_system(forcing, dk)
+    coef, b = _volterra_system(forcing, kern)
     size = _next_fast_len(2 * n - 1)
     inv = np.fft.rfft(_series_inverse(coef), size)
 
@@ -348,34 +319,32 @@ def solve_volterra(forcing, dk):
 
 # -- first passage and stationary transition ---------------------------------
 
-def first_passage(model: SemiMarkovModel, grid: Grid, target, kernel: KernelGrid | None = None):
+def _cdf_path(dt, values):
+    """The CDF values clipped at 0, as a path; a fall or an overshoot of 1 beyond 10*dt raises."""
+    v = np.clip(values, 0.0, None)
+    slack = 10.0 * dt
+    if np.any(np.diff(v) < -slack) or v.max() > 1.0 + slack:
+        raise ValueError("distribution out of bounds; grid step too coarse for this kernel")
+    return SamplePath(dt, v)
+
+
+def first_passage(kernel: KernelGrid, target):
     """First-passage distributions F(i, target, .) for every start state i.
 
     F(i,j,t) = Q(i,j,t) + sum_{k != j} ∫_0^t F(k,j,t-u) Q(i,k,du); the
     (target, target) entry is the law of the next entrance time.
     """
-    kernel = kernel if kernel is not None else kernel_on_grid(model, grid)
-    states = list(kernel.states)
+    states, q, dt = list(kernel.states), kernel.q, kernel.grid.dt
     jj = states.index(target)
     others = [k for k in range(len(states)) if k != jj]
-    dq = kernel.dq
-    x = solve_volterra(kernel.q[others, jj], dq[np.ix_(others, others)])
-    out = {}
-    for a, i in enumerate(others):
-        out[states[i]] = GridFunction(grid, np.clip(x[a], 0.0, None), kind="distribution")
-    ret = kernel.q[jj, jj].copy()
+    x = solve_volterra(q[others, jj], q[np.ix_(others, others)])
+    out = {states[i]: _cdf_path(dt, x[a]) for a, i in enumerate(others)}
+    ret = q[jj, jj].copy()
     for b, k in enumerate(others):
-        if dq[jj, k].any():  # a zero kernel pair adds exact zeros
-            ret += conv_stieltjes(dq[jj, k], x[b])
-    out[target] = GridFunction(grid, np.clip(ret, 0.0, None), kind="distribution")
+        if q[jj, k].any():  # a zero kernel pair adds exact zeros
+            ret += conv_stieltjes(q[jj, k], x[b])
+    out[target] = _cdf_path(dt, ret)
     return out
-
-
-def _renewal_solve(forcing, f_values):
-    """Solve w = forcing + F * w on the grid, F given by its values there."""
-    df = np.zeros(f_values.size)
-    df[1:] = np.diff(f_values)
-    return solve_volterra(forcing[None, :], df[None, None, :])[0]
 
 
 def _stationary_pieces(model, grid: Grid):
@@ -406,16 +375,13 @@ def _fstar(shat_row, passage, states, target):
     shat_row is shat(i,.,.) of `_stationary_pieces`, passage the first
     passages F(., j, .) of `first_passage`.
     """
-    grid = passage[target].grid
     jj = states.index(target)
     out = shat_row[jj].copy()
     for kk, k in enumerate(states):
         if kk == jj or not shat_row[kk].any():  # a zero pair adds exact zeros
             continue
-        dsh = np.zeros(grid.n_points)
-        dsh[1:] = np.diff(shat_row[kk])
-        out += conv_stieltjes(dsh, passage[k].values)
-    return GridFunction(grid, np.clip(out, 0.0, None), kind="distribution")
+        out += conv_stieltjes(shat_row[kk], passage[k].values)
+    return _cdf_path(passage[target].dt, out)
 
 
 def _equilibrium_deviations(model, grid, targets, weights):
@@ -440,15 +406,13 @@ def _equilibrium_deviations(model, grid, targets, weights):
     out = np.empty((len(targets), weights.shape[0], grid.n_points))
     for t, j in enumerate(targets):
         jj = states.index(j)
-        passage = first_passage(model, grid, j, kernel=kernel)
+        passage = first_passage(kernel, j)
         fstar = np.zeros((len(states), grid.n_points))
         for ii in starts:
             fstar[ii] = _fstar(shat[ii], passage, states, j).values
         for r, row in enumerate(weights @ fstar):
-            drow = np.zeros(grid.n_points)
-            drow[1:] = np.diff(row)
-            z = conv_stieltjes(drow, kernel.survival[jj])
-            w = _renewal_solve(z, passage[j].values)
+            z = conv_stieltjes(row, kernel.survival[jj])
+            w = solve_volterra(z[None], passage[j].values[None, None])[0]
             out[t, r] = (w - law.nu[jj] * weights[r].sum()
                          + weights[r, jj] * s[jj] / law.nu[jj])
     return out
@@ -472,13 +436,13 @@ def stationary_transition(model: SemiMarkovModel, grid: Grid):
     drift = np.abs(out.sum(axis=1) - 1.0).max()
     if drift > 10.0 * grid.dt:
         raise ValueError(f"P* row sums drift {drift:.3e} beyond 10*dt; refine the grid")
-    return {(i, j): GridFunction(grid, out[ii, jj], kind="plain")
+    return {(i, j): SamplePath(grid.dt, out[ii, jj])
             for ii, i in enumerate(states) for jj, j in enumerate(states)}
 
 
 # -- limit constants and covariance -----------------------------------------
 
-def covariance_gamma(model: SemiMarkovModel, grid: Grid) -> GridFunction:
+def covariance_gamma(model: SemiMarkovModel, grid: Grid) -> SamplePath:
     """Equilibrium covariance gamma(t) = sum_{i,j} i j nu_i (P*_t(i,j) - nu_j).
 
     Only i, j != 0 contribute.  The start states are summed with weights
@@ -492,14 +456,14 @@ def covariance_gamma(model: SemiMarkovModel, grid: Grid) -> GridFunction:
     weights = (np.asarray(states, dtype=float) * stationary_law(model).nu)[None, :]
     dev = _equilibrium_deviations(model, grid, active, weights)
     gamma = np.asarray(active, dtype=float) @ dev[:, 0]
-    return GridFunction(grid, gamma, kind="plain")
+    return SamplePath(grid.dt, gamma)
 
 
-def variance_of_integral(gamma: GridFunction) -> GridFunction:
+def variance_of_integral(gamma: SamplePath) -> SamplePath:
     """Var(t) = 2 ∫_0^t ∫_0^v gamma(u) du dv by cumulative trapezoid."""
-    inner = _cumulative_trapezoid(gamma.values, gamma.grid.dt)
-    outer = _cumulative_trapezoid(inner, gamma.grid.dt)
-    return GridFunction(gamma.grid, 2.0 * outer, kind="plain")
+    inner = _cumulative_trapezoid(gamma.values, gamma.dt)
+    outer = _cumulative_trapezoid(inner, gamma.dt)
+    return SamplePath(gamma.dt, 2.0 * outer)
 
 
 def asymptotic_covariance(model: SemiMarkovModel, t):
@@ -526,21 +490,21 @@ def _simpson_integral(values, dt):
     return float(total)
 
 
-def key_renewal_asymptote(f_law, z: GridFunction, grid: Grid):
-    """Residual h(t) = lambda/kappa - ∫_0^t z(t-s) U(ds) and its predicted tail.
+def key_renewal_asymptote(f_law, z: SamplePath):
+    """Residual h(t) = lambda/kappa - ∫_0^t z(t-s) U(ds) and its predicted tail, on z's grid.
 
     U is the renewal function of `f_law`; kappa its mean, lambda = ∫ z.  For a
     heavy law with index alpha in (1,2) the predicted residual is
     -lambda/((alpha-1) kappa^2) t^(1-alpha) L(t).  Light-tailed laws are
     computed but reported not applicable.
     """
-    t = grid.times()
+    t = z.times
     if np.any(z.values < -1e-12):
         raise ValueError("z must be nonnegative")
     fbar = f_law.tail(t)
     kappa = f_law.mean
-    lam = _simpson_integral(z.values, grid.dt)
-    w = _renewal_solve(z.values, f_law.cdf(t))
+    lam = _simpson_integral(z.values, z.dt)
+    w = solve_volterra(z.values[None], f_law.cdf(t)[None, None])[0]
     h_num = lam / kappa - w
     report = {"kappa": kappa, "lambda": lam, "ratio_limit": float(lam / kappa),
               "applicable": bool(f_law.is_heavy)}
@@ -552,22 +516,22 @@ def key_renewal_asymptote(f_law, z: GridFunction, grid: Grid):
                 * f_law.slowly_varying_factor(t)
         pred[0] = 0.0
         tail_ratio = float(z.values[-1] / max(fbar[-1], 1e-300))
-        mid_ratio = float(z.at(0.5 * grid.horizon) / max(f_law.tail(0.5 * grid.horizon), 1e-300))
+        mid_ratio = float(z.at(0.5 * z.horizon) / max(f_law.tail(0.5 * z.horizon), 1e-300))
         report["z_tail_ratio"] = tail_ratio
         report["z_precondition_ok"] = bool(tail_ratio <= max(0.1 * mid_ratio, 1e-6))
         if not report["z_precondition_ok"]:
             report["warning"] = "z(t) does not vanish relative to the survival function"
-        predicted = GridFunction(grid, pred, kind="plain")
-    return GridFunction(grid, h_num, kind="plain"), predicted, report
+        predicted = SamplePath(z.dt, pred)
+    return SamplePath(z.dt, h_num), predicted, report
 
 
-def write_grid_csv(path, quantity, gf: GridFunction):
+def write_grid_csv(path, quantity, gf: SamplePath):
     """Emit a grid table as CSV with columns t,quantity,value.
 
     Rows are formatted and written 8 192 at a time, so a long table never
     exists as one list of Python strings.
     """
-    times = gf.grid.times()
+    times = gf.times
     with open(path, "w") as fh:
         fh.write("t,quantity,value\n")
         for lo in range(0, times.size, 8192):

@@ -15,8 +15,8 @@ import numpy as np
 from semimarket.fbm import fgn_autocovariance
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
-from semimarket.renewal import GridFunction, _fstar, _renewal_solve, _stationary_pieces, \
-    _volterra_system, first_passage
+from semimarket.renewal import _fstar, _stationary_pieces, _volterra_system, first_passage, \
+    kernel_on_grid, solve_volterra
 from semimarket.semi_markov import _cumulative, _pick, jump_rounds, stationary_law, \
     theorem_condition_value
 
@@ -34,17 +34,17 @@ def equilibrium_cdf(law, t):
 def stationary_first_passage(model, grid, start, target):
     """F*(start, target, .): first passage to target under the equilibrium initial law."""
     _, shat = _stationary_pieces(model, grid)
-    return _fstar(shat[model.states.index(start)], first_passage(model, grid, target),
-                  model.states, target)
+    return _fstar(shat[model.states.index(start)],
+                  first_passage(kernel_on_grid(model, grid), target), model.states, target)
 
 
-def renewal_function(f_jj: GridFunction) -> GridFunction:
+def renewal_function(f_jj: SamplePath) -> SamplePath:
     """R(t) = expected entrances in [0,t] counting the one at 0; solves R = 1 + F*R."""
-    r = _renewal_solve(np.ones(f_jj.grid.n_points), f_jj.values)
-    return GridFunction(f_jj.grid, r, kind="plain")
+    r = solve_volterra(np.ones((1, f_jj.n)), f_jj.values[None, None])[0]
+    return SamplePath(f_jj.dt, r)
 
 
-def volterra_longdouble(forcing, dk):
+def volterra_longdouble(forcing, kern):
     """solve_volterra's float64 system T x = b, solved by forward substitution in np.longdouble.
 
     The lag blocks and right-hand side are the ones `solve_volterra` builds;
@@ -52,7 +52,7 @@ def volterra_longdouble(forcing, dk):
     the exact solution of that system to about 1e-19 relative (x86-64).
     """
     forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
-    coef, b = _volterra_system(forcing, np.asarray(dk, dtype=float))
+    coef, b = _volterra_system(forcing, np.asarray(kern, dtype=float))
     q, n = b.shape
     coef = coef.astype(np.longdouble)
     # C_0^-1 by Gauss-Jordan, since np.linalg has no long double

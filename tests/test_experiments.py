@@ -390,6 +390,47 @@ def test_cli_runs_and_exits_zero(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+def _strict_json(path):
+    """report.json parsed by a reader that rejects Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("kind", ["integral-identities", "renewal-tables", "key-renewal"])
+def test_fast_kind_reports_are_strict_json(tmp_path, kind):
+    run(ExperimentSpec(kind=kind, out_dir=str(tmp_path)))
+    report = _strict_json(tmp_path / "report.json")
+    assert report["passed"]
+    bands = {v["name"]: v["band"] for c in report["cells"] for v in c["verdicts"]}
+    if kind == "integral-identities":
+        assert bands["ibp_residual_shrinks"] == [1.5, None]
+
+
+def test_degenerate_market_replicate_fails_its_verdicts(tmp_path, capsys):
+    # every rate 1e-9: no agent jumps, so no replicate has a Hurst estimate
+    model = json.loads(json.dumps(MARKOV_MODEL))
+    for law in model["sojourns"].values():
+        law["rate"] = 1e-9
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "markov-baseline", "model": model,
+                                "params": {"n_agents": 10, "seeds": 2}}))
+    rc = cli_main(["markov-baseline", "--config", str(spec), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "[FAIL] markov_baseline::markov_baseline_median_hurst" in capsys.readouterr().out
+    report = _strict_json(tmp_path / "report.json")
+    assert not report["passed"]
+    cell = report["cells"][0]
+    assert [v["passed"] for v in cell["verdicts"]] == [False, False]
+    assert [v["value"] for v in cell["verdicts"]] == [None, None]
+    assert cell["metrics"]["hurst_variogram"] == [None, None]
+    assert [f.split(":")[0] for f in cell["metrics"]["failures"]] == \
+        ["replicate 0", "replicate 1"]
+    assert all("outside (0,1)" in f for f in cell["metrics"]["failures"])
+    assert validate_report(report) == []
+
+
 def test_cli_config_kind_mismatch(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({"kind": "key-renewal"}))

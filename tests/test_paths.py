@@ -20,6 +20,15 @@ def test_sample_path_rejects_bad_input():
         SamplePath(dt=0.0, values=np.array([0.0, 1.0]))
 
 
+def test_sample_path_at_matches_interp():
+    rng = np.random.default_rng(9)
+    path = SamplePath(dt=0.1, values=rng.normal(size=51))
+    ts = np.concatenate([rng.uniform(-1.0, 6.0, 40), path.times[::7]])
+    np.testing.assert_array_equal(path.at(ts), np.interp(ts, path.times, path.values))
+    assert path.at(2.35) == np.interp(2.35, path.times, path.values)
+    assert path.at(path.times[12]) == path.values[12]
+
+
 def test_sample_path_csv(tmp_path):
     path = SamplePath(dt=0.25, values=np.array([0.0, 2.0, -1.0]))
     out = tmp_path / "path.csv"

@@ -10,9 +10,9 @@ from semimarket.config import model_from_dict
 from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, alpha_variant
 from semimarket.distributions import Exponential, Pareto
 from semimarket import renewal
+from semimarket.paths import SamplePath
 from semimarket.renewal import (
     Grid,
-    GridFunction,
     _simpson_integral,
     _stationary_pieces,
     asymptotic_covariance,
@@ -106,15 +106,18 @@ def test_for_horizon_keeps_the_default_sizes(horizon, dt, n_points):
     assert Grid.for_horizon(horizon, dt).n_points == n_points
 
 
-def test_gridfunction_distribution_bounds():
-    g = Grid(dt=0.001, n_points=5)
-    GridFunction(g, np.array([0.0, 0.2, 0.5, 0.9, 1.0]), kind="distribution")
+def test_cdf_path_bounds():
+    path = renewal._cdf_path(0.001, np.array([0.0, 0.2, 0.5, 0.9, 1.0]))
+    assert isinstance(path, SamplePath) and path.dt == 0.001
     with pytest.raises(ValueError, match="out of bounds"):
-        GridFunction(g, np.array([0.0, 0.5, 3.0, 0.9, 1.0]), kind="distribution")
+        renewal._cdf_path(0.001, np.array([0.0, 0.5, 3.0, 0.9, 1.0]))
     with pytest.raises(ValueError, match="out of bounds"):
-        GridFunction(g, np.array([0.0, 0.9, 0.5, 0.9, 1.0]), kind="distribution")
+        renewal._cdf_path(0.001, np.array([0.0, 0.9, 0.5, 0.9, 1.0]))
     # the slack scales with dt: a mild overshoot within 10*dt is tolerated
-    GridFunction(Grid(dt=0.1, n_points=3), np.array([0.0, 0.9, 1.5]), kind="distribution")
+    renewal._cdf_path(0.1, np.array([0.0, 0.9, 1.5]))
+    # negative values are clipped to 0 before the check, however large
+    clipped = renewal._cdf_path(0.001, np.array([-3.0, 0.2, 0.5]))
+    np.testing.assert_array_equal(clipped.values, [0.0, 0.2, 0.5])
 
 
 def test_kernel_identity_q_plus_h(example_a):
@@ -122,15 +125,6 @@ def test_kernel_identity_q_plus_h(example_a):
     kernel = kernel_on_grid(example_a, g)
     total = kernel.q.sum(axis=1) + kernel.survival
     np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-
-def test_kernel_increments_are_built_once(example_a):
-    # every first passage reads dq; one shared read-only table, not a copy per read
-    kernel = kernel_on_grid(example_a, Grid.for_horizon(20.0, 0.05))
-    assert kernel.dq is kernel.dq
-    assert not kernel.dq.flags.writeable
-    np.testing.assert_array_equal(kernel.dq[:, :, 0], 0.0)
-    np.testing.assert_array_equal(kernel.dq[:, :, 1:], np.diff(kernel.q, axis=2))
 
 
 def test_survival_markov_kernel_exponential():
@@ -162,20 +156,21 @@ def test_conv_stieltjes_against_direct_quadrature():
         for l in range(1, m + 1):
             acc += 0.5 * (g[m - l] + g[m - l + 1]) * df[l]
         direct[m] = acc
-    np.testing.assert_allclose(conv_stieltjes(df, g), direct, atol=1e-10)
+    np.testing.assert_allclose(conv_stieltjes(f_cdf, g), direct, atol=1e-10)
 
 
 def test_conv_stieltjes_atom():
-    # dF[0], an atom of F at t = 0, is ignored: a caller adds atom * g itself
+    # F(0), an atom of F at t = 0, is ignored: a caller adds atom * g itself
     g = np.arange(5.0)
-    out = conv_stieltjes(np.array([2.0, 0.0, 0.0, 0.0, 0.0]), g)
+    out = conv_stieltjes(np.full(5, 2.0), g)
     np.testing.assert_array_equal(out, np.zeros(5))
 
 
-def _volterra_forward(forcing, dk):
+def _volterra_forward(forcing, kern):
     """Plain O(M^2) forward substitution; oracle for solve_volterra."""
     forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
-    dk = np.asarray(dk, dtype=float)
+    dk = np.zeros(np.shape(kern))
+    dk[..., 1:] = np.diff(kern, axis=-1)
     q, m1 = forcing.shape
     x = np.zeros((q, m1))
     x[:, 0] = forcing[:, 0]
@@ -193,43 +188,43 @@ def _volterra_forward(forcing, dk):
 
 
 def _random_volterra(rng, q, m1):
+    """Forcing (q, m1) and kernel values (q, q, m1): random increments summed from 0."""
     f = rng.normal(size=(q, m1))
     dk = np.zeros((q, q, m1))
     dk[:, :, 1:] = np.abs(rng.normal(size=(q, q, m1 - 1))) * (0.5 / m1)
-    return f, dk
+    return f, np.cumsum(dk, axis=-1)
 
 
 def test_volterra_fast_equals_forward_oracle():
     rng = np.random.default_rng(1)
     for q, m1 in ((1, 257), (2, 300), (3, 123)):
-        f, dk = _random_volterra(rng, q, m1)
-        np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk), atol=1e-10)
+        f, kern = _random_volterra(rng, q, m1)
+        np.testing.assert_allclose(solve_volterra(f, kern), _volterra_forward(f, kern), atol=1e-10)
 
 
 # n unknowns at and around the Newton doubling boundaries h = 2^k
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5] + [2**k + d for k in range(3, 9) for d in (-1, 0, 1)])
 def test_volterra_edge_cases_match_oracle(q, n):
-    f, dk = _random_volterra(np.random.default_rng(n), q, n + 1)
-    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+    f, kern = _random_volterra(np.random.default_rng(n), q, n + 1)
+    np.testing.assert_allclose(solve_volterra(f, kern), _volterra_forward(f, kern),
                                rtol=0, atol=1e-12)
 
 
 def test_volterra_with_an_all_zero_kernel_pair_matches_oracle():
-    f, dk = _random_volterra(np.random.default_rng(3), 3, 301)
-    dk[1, 2] = 0.0
-    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+    f, kern = _random_volterra(np.random.default_rng(3), 3, 301)
+    kern[1, 2] = 0.0
+    np.testing.assert_allclose(solve_volterra(f, kern), _volterra_forward(f, kern),
                                rtol=0, atol=1e-12)
 
 
 def _pareto_renewal_matches_oracle(n_points):
     # R = 1 + F * R for a Pareto law F
     g = Grid(dt=0.01, n_points=n_points)
-    df = np.zeros(g.n_points)
-    df[1:] = np.diff(Pareto(scale=0.1, alpha=1.5).cdf(g.times()))
+    kern = Pareto(scale=0.1, alpha=1.5).cdf(g.times())[None, None]
     f = np.ones((1, g.n_points))
-    np.testing.assert_allclose(solve_volterra(f, df[None, None, :]),
-                               _volterra_forward(f, df[None, None, :]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(solve_volterra(f, kern), _volterra_forward(f, kern),
+                               rtol=0, atol=1e-12)
 
 
 def test_volterra_pareto_renewal_equation_matches_oracle():
@@ -245,8 +240,8 @@ def test_volterra_asymmetric_kernel_matches_oracle(asym):
     g = Grid(dt=0.01, n_points=4097)
     kernel = kernel_on_grid(asym, g)
     f = kernel.q[:2, 2]
-    dk = kernel.dq[:2, :2]
-    np.testing.assert_allclose(solve_volterra(f, dk), _volterra_forward(f, dk),
+    kern = kernel.q[:2, :2]
+    np.testing.assert_allclose(solve_volterra(f, kern), _volterra_forward(f, kern),
                                rtol=0, atol=1e-12)
 
 
@@ -268,12 +263,13 @@ def test_leaf_inverse_matches_dense_inverse(asym, q, n):
     # the series inverse's lag blocks are the first block column of the dense inverse
     g = Grid(dt=0.02, n_points=n + 2)
     if q == 1:
-        dk = np.diff(Pareto(scale=0.01, alpha=1.5).cdf(g.times()), prepend=0.0)[None, None]
+        kern = Pareto(scale=0.01, alpha=1.5).cdf(g.times())[None, None]
     else:
-        dk = kernel_on_grid(asym, g).dq[:q, :q]
+        kern = kernel_on_grid(asym, g).q[:q, :q]
+    dk = np.diff(kern, axis=-1)
     coef = np.empty((q, q, n))
-    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 1]
-    coef[:, :, 1:] = -0.5 * (dk[:, :, 1:n] + dk[:, :, 2:n + 1])
+    coef[:, :, 0] = np.eye(q) - 0.5 * dk[:, :, 0]
+    coef[:, :, 1:] = -0.5 * (dk[:, :, :n - 1] + dk[:, :, 1:n])
     got = renewal._series_inverse(coef)
     oracle = np.linalg.inv(_dense_leaf(coef, n))[:, :q].reshape(n, q, q).transpose(1, 2, 0)
     assert got.shape == oracle.shape == (q, q, n)
@@ -289,18 +285,18 @@ def test_volterra_is_as_accurate_as_its_float64_rounding(monkeypatch):
     # before any run: one float64 rounding of the largest entry.
     systems = []
 
-    def recording(forcing, dk):
-        systems.append((np.atleast_2d(forcing), dk))
-        return solve_volterra(forcing, dk)
+    def recording(forcing, kern):
+        systems.append((np.atleast_2d(forcing), kern))
+        return solve_volterra(forcing, kern)
 
     monkeypatch.setattr(renewal, "solve_volterra", recording)
     covariance_gamma(model_from_dict(alpha_variant(ASYMMETRIC_MODEL, 1.6)),
                      Grid(dt=0.05, n_points=8193))
-    firsts = {f.shape[0]: (f, dk) for f, dk in reversed(systems)}
+    firsts = {f.shape[0]: (f, kern) for f, kern in reversed(systems)}
     assert sorted(firsts) == [1, 2]
-    for f, dk in firsts.values():
-        oracle = volterra_longdouble(f, dk)
-        assert np.abs(solve_volterra(f, dk) - oracle).max() <= 2.2e-16 * np.abs(oracle).max()
+    for f, kern in firsts.values():
+        oracle = volterra_longdouble(f, kern)
+        assert np.abs(solve_volterra(f, kern) - oracle).max() <= 2.2e-16 * np.abs(oracle).max()
 
 
 def test_split_is_exact():
@@ -344,13 +340,13 @@ def test_toeplitz_product_rounds_its_integer_part_exactly(signs):
 def test_volterra_frees_its_work_arrays_on_return():
     # with the cycle collector off, memory the solver left in a reference
     # cycle would stay allocated after the call
-    f, dk = _random_volterra(np.random.default_rng(4), 2, 20001)
+    f, kern = _random_volterra(np.random.default_rng(4), 2, 20001)
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        x = solve_volterra(f, dk)
+        x = solve_volterra(f, kern)
         del x
         after = tracemalloc.get_traced_memory()[0]
     finally:
@@ -365,8 +361,9 @@ def test_volterra_solution_satisfies_equation():
     f = rng.normal(size=(1, m1))
     dk = np.zeros((1, 1, m1))
     dk[0, 0, 1:] = np.abs(rng.normal(size=m1 - 1)) * 0.004
-    x = solve_volterra(f, dk)
-    rhs = f[0] + conv_stieltjes(dk[0, 0], x[0])
+    kern = np.cumsum(dk, axis=-1)
+    x = solve_volterra(f, kern)
+    rhs = f[0] + conv_stieltjes(kern[0, 0], x[0])
     np.testing.assert_allclose(x[0], rhs, atol=1e-10)
 
 
@@ -377,10 +374,8 @@ def test_convolution_commutes_with_distributions():
     f1 = 1.0 - np.exp(-t)
     f2 = np.clip(t / 4.0, 0.0, 1.0)
     h = np.cos(t) + 1.5
-    d1 = np.concatenate([[0.0], np.diff(f1)])
-    d2 = np.concatenate([[0.0], np.diff(f2)])
-    a = conv_stieltjes(d1, conv_stieltjes(d2, h))
-    b = conv_stieltjes(d2, conv_stieltjes(d1, h))
+    a = conv_stieltjes(f1, conv_stieltjes(f2, h))
+    b = conv_stieltjes(f2, conv_stieltjes(f1, h))
     assert np.abs(a - b).max() < 10.0 * g.dt * np.abs(h).max()
 
 
@@ -395,7 +390,7 @@ def test_simpson_integral():
 def test_first_passage_single_jump_exponential():
     model = model_from_dict(TWO_STATE_MARKOV)
     g = Grid.for_horizon(10.0, 0.01)
-    fp = first_passage(model, g, 1)
+    fp = first_passage(kernel_on_grid(model, g), 1)
     np.testing.assert_allclose(fp[0].values, 1.0 - np.exp(-g.times()), atol=5e-3)
 
 
@@ -403,7 +398,7 @@ def test_first_passage_return_time_mean(example_a):
     # eta_1 = ∫ t dF(1,1,dt): truncated tail integral plus the exact heavy-tail
     # correction 4/sqrt(T) from F̄(1,1,t) ~ 2 t^{-3/2}
     g = Grid.for_horizon(400.0, 0.01)
-    fp = first_passage(example_a, g, 1)
+    fp = first_passage(kernel_on_grid(example_a, g), 1)
     eta_trunc = np.trapezoid(1.0 - fp[1].values, dx=g.dt)
     assert eta_trunc + 4.0 / np.sqrt(g.horizon) == pytest.approx(8.0, abs=0.02)
 
@@ -411,7 +406,7 @@ def test_first_passage_return_time_mean(example_a):
 def test_first_passage_tail_constants(example_a):
     # F̄(i,1,t) / t^-alpha -> E[visits to 0] + delta_{i,0} (equals 2.0 for all i here)
     g = Grid.for_horizon(2000.0, 0.02)
-    fp = first_passage(example_a, g, 1)
+    fp = first_passage(kernel_on_grid(example_a, g), 1)
     for start in (-1, 0, 1):
         expected = expected_visits_before_hit(example_a, start, 1) + (1.0 if start == 0 else 0.0)
         t_checks = np.array([200.0, 500.0, 1500.0])
@@ -425,17 +420,16 @@ def _first_passage_loops(model, grid, target):
     states = list(kernel.states)
     jj = states.index(target)
     others = [k for k in range(len(states)) if k != jj]
-    dq = kernel.dq
     forcing = np.stack([kernel.q[i, jj] for i in others])
-    dk = np.zeros((len(others), len(others), grid.n_points))
+    kern = np.zeros((len(others), len(others), grid.n_points))
     for a, i in enumerate(others):
         for b, k in enumerate(others):
-            dk[a, b] = dq[i, k]
-    x = solve_volterra(forcing, dk)
+            kern[a, b] = kernel.q[i, k]
+    x = solve_volterra(forcing, kern)
     out = {states[i]: np.clip(x[a], 0.0, None) for a, i in enumerate(others)}
     ret = kernel.q[jj, jj].copy()
     for b, k in enumerate(others):
-        ret += conv_stieltjes(dq[jj, k], x[b])
+        ret += conv_stieltjes(kernel.q[jj, k], x[b])
     out[target] = np.clip(ret, 0.0, None)
     return out
 
@@ -443,24 +437,23 @@ def _first_passage_loops(model, grid, target):
 @pytest.mark.parametrize("target", [-1, 0, 1])
 def test_first_passage_equals_loop_assembly(asym, target):
     g = Grid.for_horizon(100.0, 0.01)
-    fp = first_passage(asym, g, target)
+    fp = first_passage(kernel_on_grid(asym, g), target)
     oracle = _first_passage_loops(asym, g, target)
     for start in (-1, 0, 1):
         assert np.array_equal(fp[start].values, oracle[start])
 
 
-def test_first_passage_garbage_flagged_by_distribution_kind():
+def test_first_passage_garbage_flagged_by_cdf_check():
     # a solve that leaves the [0, 1+10dt] envelope is rejected as non-convergent
-    g = Grid(dt=0.001, n_points=4)
     with pytest.raises(ValueError, match="out of bounds"):
-        GridFunction(g, np.array([0.0, 0.4, 1.3, 1.2]), kind="distribution")
+        renewal._cdf_path(0.001, np.array([0.0, 0.4, 1.3, 1.2]))
 
 
 # -- renewal functions ----------------------------------------------------------------
 
 def test_poisson_renewal_function():
     g = Grid.for_horizon(20.0, 0.01)
-    f = GridFunction(g, 1.0 - np.exp(-g.times()), kind="distribution")
+    f = SamplePath(g.dt, 1.0 - np.exp(-g.times()))
     r = renewal_function(f)
     np.testing.assert_allclose(r.values, 1.0 + g.times(), atol=2e-3)
     assert r.values[0] == pytest.approx(1.0)
@@ -471,37 +464,34 @@ def test_renewal_series_truncation_oracle():
     # R = sum F^n cross-checked by explicit convolution powers at small horizon
     g = Grid.for_horizon(3.0, 0.005)
     f_vals = 1.0 - np.exp(-g.times())
-    f = GridFunction(g, f_vals, kind="distribution")
+    f = SamplePath(g.dt, f_vals)
     r = renewal_function(f)
-    df = np.concatenate([[0.0], np.diff(f_vals)])
     series = np.ones(g.n_points)
     term = f_vals.copy()
     for _ in range(30):
         series += term
-        term = conv_stieltjes(df, term)
+        term = conv_stieltjes(f_vals, term)
     np.testing.assert_allclose(r.values, series, atol=5e-3)
 
 
 def test_elementary_renewal_slope(example_a):
     law = stationary_law(example_a)
     g = Grid.for_horizon(3000.0, 0.05)
-    fp = first_passage(example_a, g, 1)
+    fp = first_passage(kernel_on_grid(example_a, g), 1)
     r = renewal_function(fp[1])
     eta = of_state(law, law.eta, 1)
     assert r.at(3000.0) / 3000.0 == pytest.approx(1.0 / eta, rel=0.05)
 
 
-def _delayed_renewal(r_jj: GridFunction, f_ij: GridFunction) -> GridFunction:
+def _delayed_renewal(r_jj: SamplePath, f_ij: SamplePath) -> SamplePath:
     """R(i,j,t) = ∫_0^t R(j,j,t-u) F(i,j,du); a step of the P* oracle route."""
-    df = np.zeros(f_ij.grid.n_points)
-    df[1:] = np.diff(f_ij.values)
-    vals = conv_stieltjes(df, r_jj.values) + f_ij.values[0] * r_jj.values
-    return GridFunction(r_jj.grid, vals, kind="plain")
+    vals = conv_stieltjes(f_ij.values, r_jj.values) + f_ij.values[0] * r_jj.values
+    return SamplePath(r_jj.dt, vals)
 
 
 def test_delayed_and_stationary_renewal(example_a):
     g = Grid.for_horizon(50.0, 0.01)
-    fp = first_passage(example_a, g, 1)
+    fp = first_passage(kernel_on_grid(example_a, g), 1)
     r11 = renewal_function(fp[1])
     r_delayed = _delayed_renewal(r11, fp[-1])
     assert r_delayed.values[0] == pytest.approx(0.0)
@@ -568,14 +558,12 @@ def _stationary_transition_oracle(model, grid):
     s, _ = _stationary_pieces(model, grid)
     out = np.zeros((n, n, grid.n_points))
     for jj, j in enumerate(states):
-        passage = first_passage(model, grid, j, kernel=kernel)
+        passage = first_passage(kernel, j)
         r_jj = renewal_function(passage[j])
         for ii, i in enumerate(states):
             fstar = stationary_first_passage(model, grid, i, j)
             rstar = _delayed_renewal(r_jj, fstar)
-            drs = np.zeros(grid.n_points)
-            drs[1:] = np.diff(rstar.values)
-            out[ii, jj] = (conv_stieltjes(drs, kernel.survival[jj])
+            out[ii, jj] = (conv_stieltjes(rstar.values, kernel.survival[jj])
                            + rstar.values[0] * kernel.survival[jj])
             if ii == jj:
                 out[ii, jj] += s[ii] / law.nu[ii]
@@ -659,9 +647,9 @@ def test_renewal_layer_takes_no_zero_kernel_convolution(config, monkeypatch):
     g = Grid.for_horizon(4.0, 0.02)
     increments = []
 
-    def recorded(dF, values):
-        increments.append(np.asarray(dF))
-        return conv_stieltjes(dF, values)
+    def recorded(F, values):
+        increments.append(np.diff(F))
+        return conv_stieltjes(F, values)
 
     monkeypatch.setattr(renewal, "conv_stieltjes", recorded)
     covariance_gamma(model, g)
@@ -717,7 +705,7 @@ def test_gamma_zero_value_is_variance(asym):
 def test_variance_closed_form_double_integral():
     # gamma = e^-t  =>  Var = 2(t - 1 + e^-t)
     g = Grid.for_horizon(5.0, 0.001)
-    gamma = GridFunction(g, np.exp(-g.times()))
+    gamma = SamplePath(g.dt, np.exp(-g.times()))
     var = variance_of_integral(gamma)
     for t_q in (1.0, 2.0, 5.0):
         assert var.at(t_q) == pytest.approx(2.0 * (t_q - 1.0 + np.exp(-t_q)), rel=1e-5)
@@ -749,17 +737,13 @@ def _covariance_gamma_oracle(model, grid):
         if j == 0:
             continue
         jj = states.index(j)
-        passage = first_passage(model, grid, j, kernel=kernel)
-        df = np.zeros(grid.n_points)
-        df[1:] = np.diff(passage[j].values)
+        passage = first_passage(kernel, j)
         for ii, i in enumerate(states):
             if i == 0:
                 continue
             fstar = stationary_first_passage(model, grid, i, j)
-            dfs = np.zeros(grid.n_points)
-            dfs[1:] = np.diff(fstar.values)
-            z = conv_stieltjes(dfs, kernel.survival[jj])
-            dev = solve_volterra(z[None, :], df[None, None, :])[0] - law.nu[jj]
+            z = conv_stieltjes(fstar.values, kernel.survival[jj])
+            dev = solve_volterra(z[None, :], passage[j].values[None, None, :])[0] - law.nu[jj]
             if i == j:
                 dev = dev + s[ii] / law.nu[ii]
             gamma += i * j * law.nu[ii] * dev
@@ -790,7 +774,7 @@ def test_renewal_solve_counts(monkeypatch, asym):
     stationary_transition(asym, g)
     assert len(calls) == 3 + 9
     calls.clear()
-    key_renewal_asymptote(Pareto(scale=1.0, alpha=1.5), GridFunction(g, np.exp(-g.times())), g)
+    key_renewal_asymptote(Pareto(scale=1.0, alpha=1.5), SamplePath(g.dt, np.exp(-g.times())))
     assert len(calls) == 1
 
 
@@ -804,8 +788,8 @@ def test_asymptotic_covariance_requires_condition(example_a):
 def test_key_renewal_pareto_exponential_forcing():
     g = Grid.for_horizon(3000.0, 0.05)
     law = Pareto(scale=1.0, alpha=1.5)
-    z = GridFunction(g, np.exp(-g.times()))
-    h_num, h_pred, info = key_renewal_asymptote(law, z, g)
+    z = SamplePath(g.dt, np.exp(-g.times()))
+    h_num, h_pred, info = key_renewal_asymptote(law, z)
     assert info["applicable"] and info["z_precondition_ok"]
     assert info["kappa"] == pytest.approx(3.0)
     assert info["lambda"] == pytest.approx(1.0, rel=1e-6)
@@ -817,8 +801,8 @@ def test_key_renewal_pareto_exponential_forcing():
 def test_key_renewal_zero_forcing():
     g = Grid.for_horizon(50.0, 0.01)
     law = Pareto(scale=1.0, alpha=1.5)
-    z = GridFunction(g, np.zeros(g.n_points))
-    h_num, _, info = key_renewal_asymptote(law, z, g)
+    z = SamplePath(g.dt, np.zeros(g.n_points))
+    h_num, _, info = key_renewal_asymptote(law, z)
     np.testing.assert_allclose(h_num.values, 0.0, atol=1e-12)
     assert info["lambda"] == 0.0
 
@@ -826,8 +810,8 @@ def test_key_renewal_zero_forcing():
 def test_key_renewal_light_tail_not_applicable():
     g = Grid.for_horizon(60.0, 0.01)
     law = Exponential(rate=1.0)
-    z = GridFunction(g, np.exp(-2.0 * g.times()))
-    h_num, h_pred, info = key_renewal_asymptote(law, z, g)
+    z = SamplePath(g.dt, np.exp(-2.0 * g.times()))
+    h_num, h_pred, info = key_renewal_asymptote(law, z)
     assert h_pred is None and not info["applicable"]
     # residual decays below the quadrature floor, far faster than any power tail
     assert abs(h_num.at(50.0)) < 1e-4
@@ -837,15 +821,15 @@ def test_key_renewal_light_tail_not_applicable():
 def test_key_renewal_flags_bad_z():
     g = Grid.for_horizon(200.0, 0.05)
     law = Pareto(scale=1.0, alpha=1.5)
-    z = GridFunction(g, 1.0 / (1.0 + g.times()))  # heavier than F̄: violates o(F̄)
-    *_, info = key_renewal_asymptote(law, z, g)
+    z = SamplePath(g.dt, 1.0 / (1.0 + g.times()))  # heavier than F̄: violates o(F̄)
+    *_, info = key_renewal_asymptote(law, z)
     assert not info["z_precondition_ok"]
     assert "warning" in info
 
 
 def test_write_grid_csv(tmp_path):
     g = Grid(dt=0.5, n_points=3)
-    gf = GridFunction(g, np.array([0.0, 1.0, 4.0]))
+    gf = SamplePath(g.dt, np.array([0.0, 1.0, 4.0]))
     out = tmp_path / "table.csv"
     write_grid_csv(out, "demo", gf)
     lines = out.read_text().splitlines()
@@ -860,7 +844,7 @@ def test_write_grid_csv_bytes_match_row_repr(tmp_path):
     g = Grid(dt=0.1, n_points=1001)
     values = rng.standard_normal(g.n_points) * 10.0 ** rng.integers(-20, 20, g.n_points)
     values[:3] = [0.0, -0.0, 1e-310]
-    gf = GridFunction(g, values)
+    gf = SamplePath(g.dt, values)
     out = tmp_path / "table.csv"
     write_grid_csv(out, "gamma", gf)
     rows = [f"{float(t)!r},gamma,{float(v)!r}\n" for t, v in zip(g.times(), values)]
