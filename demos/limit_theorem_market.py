@@ -10,7 +10,7 @@ from semimarket.experiments import LIMIT_MODEL, market_hurst
 
 model = model_from_dict(LIMIT_MODEL)
 cfg = MarketConfig(model=model, n_agents=500, epsilon=1e-3,
-                   amplitude=AmplitudeModel(kind="constant", level=1.0),
+                   amplitude=AmplitudeModel(),
                    horizon=32.0, seed=11, n_grid=2**13 + 1)
 print(f"target H = {model.hurst()}  (alpha = {model.alpha})")
 for rep in range(3):

@@ -13,7 +13,7 @@ from semimarket.experiments import market_hurst
 for name, runner in (("example_a", simulate_market), ("markov", markov_market)):
     model = load_model(f"configs/{name}.json")
     cfg = MarketConfig(model=model, n_agents=500, epsilon=1e-3,
-                       amplitude=AmplitudeModel(kind="constant", level=1.0),
+                       amplitude=AmplitudeModel(),
                        horizon=32.0, seed=5, n_grid=2**13 + 1)
     estimates = []
     for rep in range(3):

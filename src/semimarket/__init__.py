@@ -18,7 +18,7 @@ from .semi_markov import (
     limit_constant_c2,
     stationary_law,
     tail_constant_Cj,
-    validate_model,
+    wiener_constant_c2,
 )
 from .renewal import (
     Grid,

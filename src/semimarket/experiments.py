@@ -4,9 +4,10 @@ Each experiment kind bundles one verification pipeline (generator self-test,
 market scaling limits, renewal tables, integral identities, ...) into cells
 with named verdicts against quantitative bands.  `EXPERIMENT_KINDS` defines
 each kind by its runner, default model and default params; a spec may
-override only those params.  A spec validates its model and checks its
-merged params against `_PARAM_CHECKS` when it is built; `run` hands those
-params to the runner, writes report.json (which records the model and params
+override only those params.  A spec builds its model, which checks itself,
+checks its merged params against `_PARAM_CHECKS` and checks that the kind can
+use the model (`_MODEL_CHECKS`) when it is built; `run` hands those params to
+the runner, writes report.json (which records the model and params
 that ran) plus CSV artifacts, and is deterministic given (spec, seed).
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import renewal as rnw
 from .config import model_from_dict
 from .paths import SamplePath
 from .semi_markov import limit_constant_c2, states_at_times, stationary_law, \
-    tail_constant_Cj, validate_model
+    tail_constant_Cj, wiener_constant_c2
 
 __all__ = [
     "ExperimentSpec",
@@ -36,7 +37,8 @@ __all__ = [
     "EXAMPLE_A_MODEL",
     "ASYMMETRIC_MODEL",
     "MARKOV_MODEL",
-    "fit_slope",
+    "alpha_variant",
+    "limit_constant_comparison",
     "run",
     "load_experiment",
     "validate_report",
@@ -101,16 +103,19 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown params {unknown} for {self.kind}; "
                              f"known: {sorted(defaults)}")
-        if self.model is not None:
-            if default_model is None:
-                raise ValueError(f"{self.kind} takes no model")
-            problems = validate_model(model_from_dict(self.model))
-            if problems:
-                raise ValueError(f"invalid model: {'; '.join(problems)}")
+        if self.model is not None and default_model is None:
+            raise ValueError(f"{self.kind} takes no model")
+        model_dict = default_model if self.model is None else self.model
+        model = None if model_dict is None else model_from_dict(model_dict)
         merged = {**defaults, **self.params}
         for key, (what, usable) in _PARAM_CHECKS.items():
             if key in merged and not usable(merged[key], merged):
                 raise ValueError(f"params.{key} must be {what}, got {merged[key]!r}")
+        for name, usable in _MODEL_CHECKS.get(self.kind, ()):
+            try:
+                usable(model, merged)
+            except ValueError as exc:
+                raise ValueError(f"{name} unusable by {self.kind}: {exc}") from None
         self.merged_params = merged
 
 
@@ -159,7 +164,7 @@ _PARAM_CHECKS = {
                "from min_lag to n_grid // 16", lambda v, p: _integer(v, 2) and (
                    "min_lag" not in p or (v > 2**10 and 16 * p["min_lag"] <= v // 16))),
     **{key: _POSITIVE for key in ("epsilon", "dt", "horizon", "renewal_dt", "renewal_horizon",
-                                  "c2_dt", "c2_horizon", "scale")},
+                                  "scale")},
     "hurst": ("a number in (0, 1)", lambda v, p: _number(v) and 0.0 < v < 1.0),
     "alpha": ("a number in (1, 2)", lambda v, p: _number(v) and 1.0 < v < 2.0),
     "t_checks": _TIMES,
@@ -178,6 +183,16 @@ _PARAM_CHECKS = {
                   lambda v, p: isinstance(v, (list, tuple)) and len(v) >= 3
                   and all(_integer(b, 1) and (p["n_grid"] - 1) % b == 0 for b in v)
                   and all(a > b for a, b in zip(v, v[1:]))),
+}
+
+
+# kind -> (what, rule(model, merged params)) pairs: each rule is the one the
+# runner meets later, and raises ValueError when the kind cannot use the model
+_MODEL_CHECKS = {
+    "markov-baseline": (("model", lambda m, p: mkt.require_exponential(m)),),
+    "limit-verification": (("model", lambda m, p: limit_constant_c2(m)),),
+    "renewal-tables": (("model", lambda m, p: tail_constant_Cj(m, 1)),
+                       ("params.dt", lambda m, p: rnw.check_grid_step(m, p["dt"]))),
 }
 
 
@@ -204,17 +219,6 @@ def load_experiment(path) -> ExperimentSpec:
 
 
 # -- small shared helpers ----------------------------------------------------
-
-def fit_slope(xs, ys):
-    """Ordinary least squares in log-log coordinates: (slope, intercept, stderr, r2)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 3 or np.unique(xs).size != xs.size:
-        raise ValueError("need at least 3 distinct abscissae")
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ValueError("log-log fit requires positive values")
-    return fbm_mod.fit_line(np.log(xs), np.log(ys))
-
 
 def _verdict(name, value, band=None, passed=None):
     """Value against band; a None value fails, an infinite band side is written as None."""
@@ -407,7 +411,7 @@ def run_limit_verification(p, seed, model, threads):
     var = rnw.variance_of_integral(gamma)
     lo, hi = p["slope_window"]
     tt = np.geomspace(lo, hi, 25)
-    slope, _, stderr, r2 = fit_slope(tt, var.at(tt))
+    slope, _, stderr, r2 = fbm_mod.fit_line(np.log(tt), np.log(var.at(tt)))
     target_h = model_obj.hurst()
     pred = rnw.asymptotic_covariance(model_obj, 1e3)
     ratio_1e3 = float(gamma.at(1e3) / pred)
@@ -523,13 +527,7 @@ def _one_mixed_replicate(args):
 
 
 def run_mixed_market(p, seed, model, threads):
-    markov_obj = model_from_dict(MARKOV_MODEL)
-
-    # c2^2 = 2 * ∫ gamma_markov for the active block's Wiener coefficient
-    mgrid = rnw.Grid.for_horizon(p["c2_horizon"], p["c2_dt"])
-    gamma_markov = rnw.covariance_gamma(markov_obj, mgrid)
-    c2_sq = float(2.0 * np.trapezoid(gamma_markov.values, dx=mgrid.dt))
-
+    c2_sq = wiener_constant_c2(model_from_dict(MARKOV_MODEL))  # the active block's Wiener level
     args = [(model, p, seed, rep) for rep in range(p["seeds"])]
     qv_active, qv_combined_ladder, qv_inert_ladder = zip(
         *_pmap(_one_mixed_replicate, args, threads))
@@ -682,8 +680,7 @@ EXPERIMENT_KINDS = {
     # block's stays put
     "mixed-market": (run_mixed_market, LIMIT_MODEL, {
         "epsilon": 1e-4, "n_agents": 200, "horizon": 8.0, "n_grid": 2**11 + 1,
-        "seeds": 3, "rhos": (0.5, 1.0), "qv_blocks": (64, 32, 16, 8),
-        "c2_dt": 0.02, "c2_horizon": 60.0}),
+        "seeds": 3, "rhos": (0.5, 1.0), "qv_blocks": (64, 32, 16, 8)}),
     "integral-identities": (run_integral_identities, None, {
         "n": 2**12, "hurst": 0.75, "seeds": 5, "levels": 4}),
     "key-renewal": (run_key_renewal, None, {

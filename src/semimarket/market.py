@@ -28,6 +28,7 @@ __all__ = [
     "AggregatePath",
     "simulate_amplitude",
     "simulate_market",
+    "require_exponential",
     "markov_market",
     "mixed_market",
 ]
@@ -35,35 +36,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AmplitudeModel:
-    """Trade-size process: a positive constant or a geometric diffusion.
+    """Trade-size process: the geometric diffusion dPsi = drift*Psi dt + vol*Psi dW.
 
-    The diffusion dPsi = drift*Psi dt + vol*Psi dW is stepped in exponential
-    form, so paths stay positive and E[Psi_t] = psi0 * exp(drift * t) holds
-    exactly at the grid points.
+    Stepped in exponential form: paths keep their sign, E[Psi_t] = initial *
+    exp(drift * t) exactly at the grid points, and drift = vol = 0 gives the
+    constant `initial` exactly (0 * z = ±0, exp(±0) = 1); defaults: unit Psi.
     """
 
-    kind: str = "constant"
-    level: float = 1.0
     drift: float = 0.0
     vol: float = 0.0
     initial: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "diffusion"):
-            raise ValueError(f"unknown amplitude kind {self.kind!r}")
-        if self.kind == "constant" and not np.isfinite(self.level):
-            raise ValueError("constant amplitude level must be finite")
-        if self.kind == "diffusion" and self.vol < 0.0:
+        if not np.isfinite(self.initial):
+            raise ValueError("amplitude initial value must be finite")
+        if not self.vol >= 0.0:
             raise ValueError("diffusion volatility must be nonnegative")
 
     @property
     def is_unit(self):
-        return self.kind == "constant" and self.level == 1.0
+        return self.drift == 0.0 and self.vol == 0.0 and self.initial == 1.0
 
 
 def simulate_amplitude(amp: AmplitudeModel, dt, n_points, rng) -> SamplePath:
-    if amp.kind == "constant":
-        return SamplePath(dt=dt, values=np.full(n_points, amp.level, dtype=float))
     shocks = (amp.drift - 0.5 * amp.vol**2) * dt \
         + amp.vol * np.sqrt(dt) * rng.standard_normal(n_points - 1)
     log_path = np.concatenate([[0.0], np.cumsum(shocks)])
@@ -79,7 +74,6 @@ class MarketConfig:
     horizon: float
     seed: int
     n_grid: int = 2**13
-    s0: float = 0.0
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -98,7 +92,7 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class AggregatePath:
-    """Aggregate rate, raw and rescaled integrated imbalance, amplitude, log-price."""
+    """Aggregate rate, raw and rescaled integrated imbalance, amplitude, log-price from 0."""
 
     dt: float
     y: np.ndarray
@@ -210,7 +204,7 @@ def _assemble(cfg, psi, cum, rate, scaling):
     inflow = cfg.epsilon * np.diff(cum)          # ∫_cell sum_a x^a_{s/eps} ds, exact
     x_inc = psi.values[:-1] * (inflow - mu * cfg.n_agents * dt)
     x_raw = np.concatenate([[0.0], np.cumsum(x_inc)])
-    price = cfg.s0 + np.concatenate([[0.0], np.cumsum(psi.values[:-1] * inflow)])
+    price = np.concatenate([[0.0], np.cumsum(psi.values[:-1] * inflow)])
     return AggregatePath(
         dt=dt,
         y=psi.values * rate,
@@ -246,11 +240,16 @@ def _market(cfg, replicate):
     return _assemble(cfg, psi, cum, rate, scaling)
 
 
-def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
-    """Aggregate path of exponential (Markov) agents under the 1/sqrt(eps N) scaling."""
-    for law in cfg.model.sojourns.values():
+def require_exponential(model: SemiMarkovModel):
+    """ValueError unless every sojourn law of the model is exponential."""
+    for law in model.sojourns.values():
         if not isinstance(law, Exponential):
             raise ValueError("markov_market requires all-exponential sojourn laws")
+
+
+def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:
+    """Aggregate path of exponential (Markov) agents under the 1/sqrt(eps N) scaling."""
+    require_exponential(cfg.model)
     # exponential laws carry no tail index, so the sqrt(eps N) normalisation applies
     return _market(cfg, replicate)
 

@@ -36,6 +36,7 @@ __all__ = [
     "KernelGrid",
     "kernel_on_grid",
     "first_passage",
+    "check_grid_step",
     "stationary_transition",
     "covariance_gamma",
     "variance_of_integral",
@@ -102,9 +103,6 @@ def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
             if pij > 0.0:
                 q[ii, jj] = pij * model.law(i, j).cdf(t)
         h[ii] = 1.0 - q[ii].sum(axis=0)
-    total = q[:, :, -1].sum(axis=1)
-    if np.any(total > 1.0 + 1e-9):
-        raise ValueError("kernel mass exceeds 1; inconsistent transition laws")
     return KernelGrid(grid=grid, states=states, q=q, survival=h)
 
 
@@ -418,6 +416,13 @@ def _equilibrium_deviations(model, grid, targets, weights):
     return out
 
 
+def check_grid_step(model: SemiMarkovModel, dt):
+    """ValueError when dt exceeds 1/20 of the model's shortest mean sojourn."""
+    bound = min(stationary_law(model).m) / 20.0
+    if dt > bound + 1e-12:
+        raise ValueError(f"grid step {dt} too coarse: need dt <= min mean sojourn / 20 = {bound}")
+
+
 def stationary_transition(model: SemiMarkovModel, grid: Grid):
     """Equilibrium transition probabilities P*_t(i,j) for all state pairs.
 
@@ -425,11 +430,8 @@ def stationary_transition(model: SemiMarkovModel, grid: Grid):
     deviation form with one renewal solve per state pair and nu_j added back.
     Rows must sum to 1 within 10*dt and approach nu at the horizon.
     """
+    check_grid_step(model, grid.dt)
     law = stationary_law(model)
-    if grid.dt > min(law.m) / 20.0 + 1e-12:
-        raise ValueError(
-            f"grid step {grid.dt} too coarse: need dt <= min mean sojourn / 20 "
-            f"= {min(law.m) / 20.0}")
     states = model.states
     dev = _equilibrium_deviations(model, grid, states, np.eye(len(states)))
     out = dev.transpose(1, 0, 2) + law.nu[None, :, None]  # out[i, j] = P*(i, j)

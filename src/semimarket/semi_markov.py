@@ -3,7 +3,7 @@
 A model is (E, P, G): a finite integer state space E containing the inactive
 state 0, the embedded chain transition matrix P, and per-transition sojourn
 laws G(i,j,.).  Exits from state 0 are heavy-tailed with common index
-alpha in (1,2); the induced self-similarity exponent is H = (3-alpha)/2.
+alpha in (1,2), or all light; H = (3-alpha)/2.  A model is checked when built.
 
 The model owns its equilibrium law (pi, nu, m, eta, mu): `stationary_law`
 solves it on first request and keeps it on the model, read-only, so every
@@ -15,16 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SojournLaw
+from .distributions import Exponential, SojournLaw
 
 __all__ = [
     "SemiMarkovModel",
     "StationaryLaw",
-    "validate_model",
     "stationary_law",
     "expected_visits_before_hit",
     "tail_constant_Cj",
     "limit_constant_c2",
+    "wiener_constant_c2",
     "hurst_from_alpha",
     "jump_rounds",
     "states_at_times",
@@ -40,13 +40,14 @@ class SemiMarkovModel:
     states are distinct integer labels containing the inactive state 0; p is
     the read-only embedded-chain matrix, indexed like states; sojourns maps
     (i, j) state labels to the law of the holding time in i before a jump to
-    j.  Models compare by identity.
+    j.  alpha (derived) is the exits from 0's tail index, None if light.
+    Models compare by identity; an inadmissible model raises a ValueError.
     """
 
     states: tuple
     p: np.ndarray
     sojourns: dict
-    alpha: float | None = None
+    alpha: float | None = field(default=None, init=False)
     _law: StationaryLaw | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -65,19 +66,13 @@ class SemiMarkovModel:
         p.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "p", p)
-        heavy = sorted({law.tail_index for law in self._zero_exit_laws() if law.is_heavy})
-        if self.alpha is None and heavy:
-            if len(heavy) > 1:
-                raise ValueError(f"inactive-state exits carry distinct tail indices {heavy}")
-            object.__setattr__(self, "alpha", heavy[0])
-        if self.alpha is not None and not (1.0 < self.alpha < 2.0):
-            raise ValueError(f"tail index must satisfy 1 < alpha < 2, got {self.alpha}")
+        problems, alpha = _problems(self)
+        if problems:
+            raise ValueError(f"invalid model: {'; '.join(problems)}")
+        object.__setattr__(self, "alpha", alpha)
 
     def law(self, i, j) -> SojournLaw:
         return self.sojourns[(i, j)]
-
-    def _zero_exit_laws(self):
-        return [self.sojourns[(0, j)] for j in self.states if (0, j) in self.sojourns]
 
     def hurst(self):
         if self.alpha is None:
@@ -114,38 +109,40 @@ class StationaryLaw:
     mu: float
 
 
-# -- validation and equilibrium --------------------------------------------
+# -- admissibility and equilibrium -------------------------------------------
 
-def validate_model(model: SemiMarkovModel):
-    """Return the list of assumption violations (empty when the model is admissible)."""
+def _problems(model):
+    """The assumptions the model breaks, and the common tail index of its exits from 0."""
     p, states = model.p, model.states
     out = [f"row {k} of the transition matrix sums to {s!r}, not 1"
-           for k, s in enumerate(p.sum(axis=1)) if abs(s - 1.0) > _ROW_TOL]
+           for k, s in enumerate(p.sum(axis=1).tolist()) if not abs(s - 1.0) <= _ROW_TOL]
     if np.any(p < 0.0):
         out.append("transition matrix has negative entries")
     elif not _irreducible(p):
         out.append("embedded chain is not irreducible: no unique stationary law")
+    zero_exits = {}
     for ii, i in enumerate(states):
         for jj, j in enumerate(states):
             if p[ii, jj] <= 0.0:
                 continue
-            key = (i, j)
-            if key not in model.sojourns:
+            if (i, j) not in model.sojourns:
                 out.append(f"missing sojourn law for transition {i} -> {j}")
                 continue
-            law = model.sojourns[key]
+            law = model.sojourns[(i, j)]
             if not np.isfinite(law.mean) or law.mean <= 0.0:
                 out.append(f"sojourn law for {i} -> {j} has non-finite mean")
             if i != 0 and law.is_heavy:
-                out.append(
-                    f"heavy-tailed sojourn on active exit {i} -> {j}: active states must be "
-                    "thin-tailed relative to t^-(alpha+1)")
-            if i == 0 and model.alpha is not None and not law.is_heavy:
-                out.append(f"inactive-state exit 0 -> {j} is not heavy-tailed")
-            if i == 0 and law.is_heavy and model.alpha is not None and law.tail_index != model.alpha:
-                out.append(f"inactive-state exit 0 -> {j} has tail index {law.tail_index}, "
-                           f"expected the common alpha = {model.alpha}")
-    return out
+                out.append(f"heavy-tailed sojourn on active exit {i} -> {j}: active states "
+                           "must be thin-tailed relative to t^-(alpha+1)")
+            if i == 0:
+                zero_exits[j] = law
+    indices = sorted({law.tail_index for law in zero_exits.values() if law.is_heavy})
+    if len(indices) > 1 or indices and not 1.0 < indices[0] < 2.0:
+        out.append(f"inactive-state exits must share one tail index in (1, 2), got {indices}")
+    if indices:
+        out += [f"inactive-state exit 0 -> {j} is not heavy-tailed"
+                for j, law in zero_exits.items() if not law.is_heavy]
+    return out, indices[0] if indices else None
 
 
 def _irreducible(p):
@@ -160,7 +157,6 @@ def stationary_law(model: SemiMarkovModel) -> StationaryLaw:
     """The model's equilibrium law, solved on the first call and kept on the model.
 
     Every caller shares the one StationaryLaw, so its arrays are read-only.
-    Raises LinAlgError when the embedded chain has no unique stationary law.
     """
     if model._law is None:
         object.__setattr__(model, "_law", _solve_stationary_law(model))
@@ -176,8 +172,6 @@ def _solve_stationary_law(model):
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     residual = np.abs(pi @ p - pi).max()
-    if not _irreducible(p):
-        raise np.linalg.LinAlgError("embedded chain is not irreducible: no unique stationary law")
     if residual > 1e-10 or np.any(pi <= 0.0):
         raise np.linalg.LinAlgError(f"stationary solve failed (residual {residual:.2e})")
     states = model.states
@@ -250,8 +244,8 @@ def tail_constant_Cj(model: SemiMarkovModel, target):
     E N_j is the expected number of inactive-state visits between successive
     entrances to j.
     """
-    if target == 0:
-        raise ValueError("tail constant is defined for active states only (j != 0)")
+    if target == 0 or target not in model.states:
+        raise ValueError(f"tail constant is defined for the active states only, not {target}")
     law = stationary_law(model)
     jj = law.states.index(target)
     visits = expected_visits_before_hit(model, target, target)
@@ -261,19 +255,35 @@ def tail_constant_Cj(model: SemiMarkovModel, target):
 def limit_constant_c2(model: SemiMarkovModel):
     """Limit constant c^2 = mu sum_j j C_j / [2H(1-H)(2H-1)], C_j from `tail_constant_Cj`.
 
-    Requires the positivity condition mu * sum_k k m_k/eta_k^2 > 0.
+    Requires a heavy-tailed inactive state and the positivity condition
+    mu * sum_k k m_k/eta_k^2 > 0: a ValueError says which fails.
     """
+    h = model.hurst()
     holds, product, mu, s = theorem_condition_value(model)
     if not holds:
         raise ValueError(
             f"limit-theorem condition violated: mu * sum_k k m_k/eta_k^2 = {product!r} "
             "must be strictly positive (fails e.g. for centered models with mu = 0)")
-    h = model.hurst()
     total = sum(j * tail_constant_Cj(model, j) for j in model.states if j != 0)
     c2 = mu * total / (2.0 * h * (1.0 - h) * (2.0 * h - 1.0))
     if not c2 > 0.0:
         raise ValueError(f"degenerate limit constant c^2 = {c2!r}")
     return c2
+
+
+def wiener_constant_c2(model: SemiMarkovModel):
+    """c2^2 = 2 ∫_0^∞ gamma = 2 k^T diag(nu) Z k for a Markov model, k the state labels.
+
+    The exits from each state must share one exponential law; Z = (1 nu^T - G)^-1
+    - 1 nu^T is the deviation matrix of the generator G = diag(1/m)(P - I).
+    """
+    width, laws = _sojourn_groups(model)
+    if width > 1 or not all(isinstance(lw, Exponential) for lw in laws.values()):
+        raise ValueError("the exits from each state must share one exponential law")
+    law, n = stationary_law(model), len(model.states)
+    a = np.outer(np.ones(n), law.nu) - (model.p - np.eye(n)) / law.m[:, None]  # 1 nu^T - G
+    k = np.asarray(model.states, dtype=float)
+    return float(2.0 * (law.nu * k) @ (np.linalg.solve(a, k) - law.nu @ k))  # Z k = a^-1 k - nu k
 
 
 # -- the agent engine ---------------------------------------------------------
@@ -310,8 +320,7 @@ def _sojourn_groups(model):
     return width, {ii * width + jj: lw for ii, row in enumerate(rows) for jj, lw in row}
 
 
-def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
-                initial_state=None):
+def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, initial_state=None):
     """The agent engine: n_agents independent copies of the process on [0, horizon).
 
     The first item yielded is the array of initial state indices xi_0.  Each
@@ -320,11 +329,10 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
     leave and enter.  An agent jumps at most once per round and its epochs
     increase from round to round; epochs of different agents are not sorted.
 
-    stationary=True starts from the equilibrium law: xi_0 ~ nu (or
-    xi_0 = initial_state when given), xi_1 = j with weight p_kj m_kj / m_k and
-    a residual first sojourn from the integrated-tail law of G(k, j, .), which
-    reproduces the joint density prop. to pi_k p_kj (1 - G(k, j, t)).
-    stationary=False starts at initial_state with a fresh kernel sojourn.
+    Every agent starts in equilibrium: xi_0 ~ nu (or xi_0 = initial_state
+    when given), xi_1 = j with weight p_kj m_kj / m_k and a residual first
+    sojourn from the integrated-tail law of G(k, j, .), which reproduces the
+    joint density prop. to pi_k p_kj (1 - G(k, j, t)).
 
     Draw order, which fixes every stream built on the engine: the start takes
     rng.random(n_agents) for xi_0 (unless initial_state is given), then for
@@ -344,14 +352,9 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
     n_states = len(states)
     p = model.p
     kernel_cum = _cumulative(p)
-    if stationary:
-        law = stationary_law(model)
-        weights = p * law.m_cond
-        start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
-    elif initial_state is None:
-        raise ValueError("a non-stationary start needs an initial_state")
-    else:
-        start_cum = kernel_cum
+    law = stationary_law(model)
+    weights = p * law.m_cond
+    start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
     if initial_state is None:
         cur = _pick(_cumulative(law.nu), rng.random(n_agents))
     else:
@@ -370,9 +373,7 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, stationary=True,
             sub = mask & (nxt == j_idx)
             hits = int(sub.sum())
             if hits:
-                lw = model.law(states[k_idx], states[j_idx])
-                draw = lw.equilibrium_sample if stationary else lw.sample
-                t_now[sub] = draw(rng, hits)
+                t_now[sub] = model.law(states[k_idx], states[j_idx]).equilibrium_sample(rng, hits)
 
     width, group_law = _sojourn_groups(model)
     n_keys = width * n_states

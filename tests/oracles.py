@@ -82,7 +82,7 @@ def theorem_condition(model):
 
 # -- the reference agent engine ------------------------------------------------
 
-def reference_jump_rounds(model, n_agents, horizon, rng, stationary=True, initial_state=None):
+def reference_jump_rounds(model, n_agents, horizon, rng, initial_state=None):
     """Plain form of `semi_markov.jump_rounds` with the same draw order.
 
     It holds full-size state arrays and gathers the live agents each round:
@@ -94,12 +94,9 @@ def reference_jump_rounds(model, n_agents, horizon, rng, stationary=True, initia
     n_states = len(states)
     p = model.p
     kernel_cum = _cumulative(p)
-    if stationary:
-        law = stationary_law(model)
-        weights = p * law.m_cond
-        start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
-    else:
-        start_cum = kernel_cum
+    law = stationary_law(model)
+    weights = p * law.m_cond
+    start_cum = _cumulative(weights / weights.sum(axis=1, keepdims=True))
     if initial_state is None:
         cur = _pick(_cumulative(law.nu), rng.random(n_agents))
     else:
@@ -118,9 +115,7 @@ def reference_jump_rounds(model, n_agents, horizon, rng, stationary=True, initia
             sub = mask & (nxt == j_idx)
             hits = int(sub.sum())
             if hits:
-                lw = model.law(states[k_idx], states[j_idx])
-                draw = lw.equilibrium_sample if stationary else lw.sample
-                t_now[sub] = draw(rng, hits)
+                t_now[sub] = model.law(states[k_idx], states[j_idx]).equilibrium_sample(rng, hits)
 
     pairs = []
     per_state = True
@@ -223,11 +218,13 @@ class Trajectory:
 def one_agent_path(model, horizon, rng, stationary=True, initial_state=None):
     """One agent's Trajectory on [0, horizon) by a plain loop over its jumps.
 
-    It takes the draws `jump_rounds(model, 1, ...)` takes, in the same order:
-    rng.random(1) for xi_0 unless initial_state is given, rng.random(1) for
-    xi_1 and one sampler call for the first sojourn (residual when
-    stationary), then rng.random(2) per jump: the next state, then the
-    sojourn uniform for the law of the (entered, next) pair.
+    Stationary, it takes the draws `jump_rounds(model, 1, ...)` takes, in the
+    same order: rng.random(1) for xi_0 unless initial_state is given,
+    rng.random(1) for xi_1 and one sampler call for the residual first
+    sojourn, then rng.random(2) per jump: the next state, then the sojourn
+    uniform for the law of the (entered, next) pair.  stationary=False starts
+    at initial_state with a fresh kernel sojourn instead, the start the
+    first-passage Monte Carlo needs.
     """
     if not horizon > 0.0:
         raise ValueError("horizon must be positive")
@@ -322,9 +319,6 @@ def goodness_moments(amp, horizon, n_paths, rng, n_steps=1024):
     means certify the sequence as good.  A constant amplitude gives (0, 0).
     """
     dt = horizon / n_steps
-    if amp.kind == "constant":
-        return {"qv_mean": 0.0, "qv_stderr": 0.0, "tv_mean": 0.0, "tv_stderr": 0.0,
-                "qv_reference": 0.0}
     qv, tv = np.empty(n_paths), np.empty(n_paths)
     for k in range(n_paths):
         path = simulate_amplitude(amp, dt, n_steps + 1, rng)

@@ -20,20 +20,20 @@ from semimarket.experiments import (
     ExperimentSpec,
     alpha_variant,
     chi2_sf,
-    fit_slope,
     load_experiment,
     run,
     stationarity_check,
     validate_report,
 )
-from semimarket.semi_markov import states_at_times, validate_model
+from semimarket.fbm import fit_line
+from semimarket.semi_markov import states_at_times
 
 
-# -- fit_slope ------------------------------------------------------------------
+# -- log-log slope fits ------------------------------------------------------------
 
 def test_fit_slope_exact_power_law():
     xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    slope, intercept, stderr, r2 = fit_slope(xs, xs**1.5)
+    slope, intercept, stderr, r2 = fit_line(np.log(xs), np.log(xs**1.5))
     assert slope == pytest.approx(1.5, abs=1e-12)
     assert intercept == pytest.approx(0.0, abs=1e-12)
     assert r2 == pytest.approx(1.0)
@@ -41,17 +41,8 @@ def test_fit_slope_exact_power_law():
 
 def test_fit_slope_constant():
     xs = np.array([1.0, 2.0, 4.0])
-    slope, *_ = fit_slope(xs, np.full(3, 3.7))
+    slope, *_ = fit_line(np.log(xs), np.log(np.full(3, 3.7)))
     assert slope == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fit_slope_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fit_slope([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        fit_slope([1.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        fit_slope([1.0, 2.0, 4.0], [1.0, -2.0, 3.0])
 
 
 # -- model config ------------------------------------------------------------------
@@ -213,8 +204,9 @@ def test_shipped_models_validate():
         with open(f"configs/{name}.json") as fh:
             shipped.append(json.load(fh))
     for model in shipped:
-        assert validate_model(model_from_dict(model)) == []
-        ExperimentSpec(kind="limit-verification", model=model)
+        # building a model checks it; example-a runs on every admissible model
+        model_from_dict(model)
+        ExperimentSpec(kind="example-a", model=model)
 
 
 def test_report_replays_the_run(tmp_path):
@@ -624,7 +616,7 @@ _BAD_COUNTS = (
     # params that used to fail only at run time, some after a full simulation
     ("mixed-market", {"n_grid": 1000}, "qv_blocks"),
     ("mixed-market", {"qv_blocks": [0, 8]}, "qv_blocks"),
-    ("mixed-market", {"c2_dt": 0}, "c2_dt"),
+    ("mixed-market", {"horizon": 0}, "horizon"),
     ("mixed-market", {"rhos": ["0.5", 1.0]}, "rhos"),
     ("limit-verification", {"slope_window": [0.0, 1e4]}, "slope_window"),
     ("limit-verification", {"renewal_dt": 0}, "renewal_dt"),
@@ -691,6 +683,40 @@ def test_cli_rejects_unusable_rhos(tmp_path, capsys, params):
     assert "rhos" in capsys.readouterr().err
 
 
+# kind/model pairs each kind cannot run: each used to exit 1 with a traceback,
+# limit-verification only after every market replicate had run
+_NO_STATE_1 = {"states": [-1, 0], "transitions": [[0.0, 1.0], [1.0, 0.0]],
+               "sojourns": {"-1": {"family": "exponential", "rate": 1.0},
+                            "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5}}}
+_UNUSABLE = {
+    "markov-on-pareto": ("markov-baseline", EXAMPLE_A_MODEL, {}, "model unusable by "
+                         "markov-baseline: markov_market requires all-exponential"),
+    "limit-on-markov": ("limit-verification", MARKOV_MODEL, {}, "model unusable by "
+                        "limit-verification: model has no heavy-tailed inactive state"),
+    "tables-without-state-1": ("renewal-tables", _NO_STATE_1, {}, "model unusable by "
+                               "renewal-tables: tail constant is defined for the active states only, not 1"),
+    "tables-coarse-dt": ("renewal-tables", None, {"dt": 0.1}, "params.dt unusable by "
+                         "renewal-tables: grid step 0.1 too coarse"),
+}
+
+
+@pytest.mark.parametrize("case", _UNUSABLE)
+def test_cli_rejects_a_model_the_kind_cannot_use(tmp_path, capsys, case):
+    kind, model, params, message = _UNUSABLE[case]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": kind, "model": model, "params": params}))
+    assert cli_main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_rejects_the_removed_c2_params():
+    # mixed-market's Wiener constant is a closed form now: its grid params are gone
+    for key in ("c2_dt", "c2_horizon"):
+        with pytest.raises(ValueError, match=f"unknown params \\['{key}'\\] for mixed-market"):
+            ExperimentSpec(kind="mixed-market", params={key: 0.02})
+
+
 def test_mixed_market_simulates_the_inert_block_once_per_replicate(monkeypatch):
     from semimarket import market
 
@@ -701,7 +727,7 @@ def test_mixed_market_simulates_the_inert_block_once_per_replicate(monkeypatch):
         return _fn(cfg, replicate=replicate)
 
     params = {"epsilon": 1e-2, "n_agents": 40, "horizon": 2.0, "n_grid": 2**8 + 1,
-              "seeds": 2, "qv_blocks": (16, 8, 4, 2), "c2_horizon": 10.0, "c2_dt": 0.05}
+              "seeds": 2, "qv_blocks": (16, 8, 4, 2)}
     monkeypatch.setattr(market, "simulate_market", counted)
     serial = run(ExperimentSpec(kind="mixed-market", params=dict(params), seed=5))
     assert sorted(calls) == [0, 1]

@@ -64,7 +64,7 @@ def test_integral_matches_ibp_construction():
     n = 4096
     dt = 1.0 / n
     bh = sample_fbm(0.75, n, dt, np.random.default_rng(1))
-    amp = AmplitudeModel(kind="diffusion", drift=0.1, vol=0.4, initial=1.0)
+    amp = AmplitudeModel(drift=0.1, vol=0.4, initial=1.0)
     psi = simulate_amplitude(amp, dt, n + 1, np.random.default_rng(2))
     direct, report = stieltjes_integral(psi, bh, _ladder(n, 6))
     residual = integration_by_parts_residual(psi, bh)
@@ -212,13 +212,13 @@ def test_cross_variation_independent_processes_vanishes():
 # -- goodness moments ----------------------------------------------------------------
 
 def test_goodness_constant_amplitude():
-    out = goodness_moments(AmplitudeModel(kind="constant", level=2.0), 1.0, 10,
+    out = goodness_moments(AmplitudeModel(initial=2.0), 1.0, 10,
                            np.random.default_rng(0))
     assert out["qv_mean"] == 0.0 and out["tv_mean"] == 0.0
 
 
 def test_goodness_pure_drift():
-    amp = AmplitudeModel(kind="diffusion", drift=0.5, vol=0.0, initial=1.0)
+    amp = AmplitudeModel(drift=0.5, vol=0.0, initial=1.0)
     out = goodness_moments(amp, 1.0, 50, np.random.default_rng(1))
     assert out["qv_mean"] == 0.0
     # |A|_T = ∫ 0.5 e^{0.5 t} dt = e^0.5 - 1
@@ -226,7 +226,7 @@ def test_goodness_pure_drift():
 
 
 def test_goodness_diffusion_matches_closed_form():
-    amp = AmplitudeModel(kind="diffusion", drift=0.1, vol=0.4, initial=1.0)
+    amp = AmplitudeModel(drift=0.1, vol=0.4, initial=1.0)
     out = goodness_moments(amp, 2.0, 800, np.random.default_rng(2))
     assert abs(out["qv_mean"] - out["qv_reference"]) < 4 * out["qv_stderr"] + 1e-3
     assert np.isfinite(out["tv_mean"]) and out["tv_stderr"] >= 0.0
@@ -240,7 +240,7 @@ def test_integral_distribution_drifts_toward_target():
     n = 2**10
     horizon = 4.0
     dt = horizon / n
-    psi = simulate_amplitude(AmplitudeModel(kind="diffusion", drift=0.0, vol=0.3, initial=1.0),
+    psi = simulate_amplitude(AmplitudeModel(drift=0.0, vol=0.3, initial=1.0),
                              dt, n + 1, np.random.default_rng(100))
     lad = _ladder(n, 3)
 

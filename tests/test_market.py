@@ -38,7 +38,7 @@ MARKOV = {
     },
 }
 
-UNIT = AmplitudeModel(kind="constant", level=1.0)
+UNIT = AmplitudeModel()
 
 
 def small_cfg(model_dict, **kw):
@@ -56,20 +56,23 @@ def _start_agents(monkeypatch, **start):
 # -- amplitude ----------------------------------------------------------------
 
 def test_amplitude_constant():
-    path = simulate_amplitude(AmplitudeModel(kind="constant", level=1.0), 0.1, 11,
-                              np.random.default_rng(0))
-    np.testing.assert_array_equal(path.values, np.ones(11))
+    # vol = drift = 0 gives exactly `initial` at every point: 0 * z = ±0, exp(±0) = 1
+    for initial in (1.0, 2.5, -0.75):
+        amp = AmplitudeModel(initial=initial)
+        assert amp.is_unit == (initial == 1.0)
+        path = simulate_amplitude(amp, 64.0 / 2**14, 2**14 + 1, np.random.default_rng(0))
+        np.testing.assert_array_equal(path.values, np.full(2**14 + 1, initial))
 
 
 def test_amplitude_zero_vol_is_exponential_growth():
-    amp = AmplitudeModel(kind="diffusion", drift=0.3, vol=0.0, initial=2.0)
+    amp = AmplitudeModel(drift=0.3, vol=0.0, initial=2.0)
     path = simulate_amplitude(amp, 0.01, 101, np.random.default_rng(0))
     t = path.times
     np.testing.assert_allclose(path.values, 2.0 * np.exp(0.3 * t), rtol=1e-12)
 
 
 def test_amplitude_mean_matches_moment():
-    amp = AmplitudeModel(kind="diffusion", drift=0.2, vol=0.5, initial=1.0)
+    amp = AmplitudeModel(drift=0.2, vol=0.5, initial=1.0)
     rng = np.random.default_rng(1)
     finals = [simulate_amplitude(amp, 0.01, 101, rng).values[-1] for _ in range(4000)]
     finals = np.asarray(finals)
@@ -78,7 +81,7 @@ def test_amplitude_mean_matches_moment():
 
 
 def test_amplitude_positive():
-    amp = AmplitudeModel(kind="diffusion", drift=-0.5, vol=1.0, initial=0.5)
+    amp = AmplitudeModel(drift=-0.5, vol=1.0, initial=0.5)
     path = simulate_amplitude(amp, 0.05, 201, np.random.default_rng(2))
     assert np.all(path.values > 0.0)
 
@@ -86,7 +89,7 @@ def test_amplitude_positive():
 # -- aggregate path basics -------------------------------------------------------
 
 def test_frozen_agent_integrates_time(monkeypatch):
-    # one agent pinned in state 1: the uncentred integral (log_price, s0 = 0) is t exactly
+    # one agent pinned in state 1: the uncentred integral (log_price) is t exactly
     frozen = {
         "states": [0, 1],
         "transitions": [[0.0, 1.0], [1.0, 0.0]],
@@ -96,7 +99,7 @@ def test_frozen_agent_integrates_time(monkeypatch):
         },
     }
     cfg = small_cfg(frozen, n_agents=1, epsilon=1.0, horizon=4.0, n_grid=41)
-    _start_agents(monkeypatch, stationary=False, initial_state=1)
+    _start_agents(monkeypatch, initial_state=1)
     agg = simulate_market(cfg)
     np.testing.assert_allclose(agg.log_price, agg.times, atol=1e-12)
     np.testing.assert_allclose(agg.y, 1.0)
@@ -113,14 +116,14 @@ def test_x_starts_at_zero_and_scaling():
 
 
 def test_log_price_is_uncentered_integral():
-    cfg = small_cfg(ASYM, s0=3.0)
+    cfg = small_cfg(ASYM)
     agg = simulate_market(cfg)
     law = stationary_law(cfg.model)
     # d(log price) - dX = mu * N * Psi dt cellwise
-    lhs = np.diff(agg.log_price - 3.0) - np.diff(agg.x_raw)
+    lhs = np.diff(agg.log_price) - np.diff(agg.x_raw)
     rhs = law.mu * cfg.n_agents * agg.psi[:-1] * cfg.dt
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-    assert agg.log_price[0] == pytest.approx(3.0)
+    assert agg.log_price[0] == 0.0
 
 
 def test_centering_zero_mean():
@@ -200,8 +203,6 @@ def test_initial_state_conditions_the_start(monkeypatch):
     _start_agents(monkeypatch, initial_state=1)
     for rep in range(20):
         assert simulate_market(cfg, replicate=rep).y[0] == 1.0
-    with pytest.raises(ValueError, match="initial_state"):
-        next(jump_rounds(cfg.model, 1, 1.0, np.random.default_rng(0), stationary=False))
 
 
 def test_market_memory_does_not_grow_with_the_event_count():
@@ -272,7 +273,7 @@ def test_mixed_market_rho_zero_reduces_to_inert():
 
 
 def test_mixed_market_requires_unit_amplitude():
-    cfg = small_cfg(ASYM, amplitude=AmplitudeModel(kind="constant", level=2.0))
+    cfg = small_cfg(ASYM, amplitude=AmplitudeModel(initial=2.0))
     with pytest.raises(ValueError, match="unit amplitude"):
         mixed_market(cfg, [0.5], model_from_dict(MARKOV))
 
@@ -312,8 +313,10 @@ def test_invalid_configs_rejected():
         small_cfg(EXAMPLE_A, n_agents=0)
     with pytest.raises(ValueError):
         small_cfg(EXAMPLE_A, epsilon=0.0)
-    with pytest.raises(ValueError):
-        AmplitudeModel(kind="brownian")
+    with pytest.raises(ValueError, match="volatility"):
+        AmplitudeModel(vol=-0.1)
+    with pytest.raises(ValueError, match="finite"):
+        AmplitudeModel(initial=np.inf)
 
 
 def test_hurst_approaches_target_along_epsilon_ladder():

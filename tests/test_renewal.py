@@ -27,7 +27,7 @@ from semimarket.renewal import (
     write_grid_csv,
 )
 from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law, \
-    tail_constant_Cj
+    tail_constant_Cj, wiener_constant_c2
 
 from oracles import of_state, renewal_function, stationary_first_passage, volterra_longdouble
 
@@ -712,15 +712,56 @@ def test_variance_closed_form_double_integral():
 
 
 def test_gamma_tail_ratio_and_slope(asym):
-    from semimarket.experiments import fit_slope
+    from semimarket.fbm import fit_line
 
     g = Grid.for_horizon(2000.0, 0.05)
     gamma = covariance_gamma(asym, g)
     t_q = np.geomspace(100.0, 2000.0, 12)
     ratios = gamma.at(t_q) / asymptotic_covariance(asym, t_q)
     assert np.all(np.abs(ratios - 1.0) < 0.15)
-    slope, *_ = fit_slope(t_q, gamma.at(t_q))
+    slope, *_ = fit_line(np.log(t_q), np.log(gamma.at(t_q)))
     assert slope == pytest.approx(-0.5, abs=0.1)
+
+
+# an uncentred four-state Markov model: one exponential law per state, rates 2, 1/2, 1, 3/2
+FOUR_STATE_MARKOV = {
+    "states": [-1, 0, 1, 2],
+    "transitions": [[0.0, 0.6, 0.4, 0.0], [0.3, 0.0, 0.5, 0.2], [0.2, 0.5, 0.0, 0.3],
+                    [0.0, 0.5, 0.5, 0.0]],
+    "sojourns": {"-1": {"family": "exponential", "rate": 2.0},
+                 "0": {"family": "exponential", "rate": 0.5},
+                 "1": {"family": "exponential", "rate": 1.0},
+                 "2": {"family": "exponential", "rate": 1.5}},
+}
+
+
+def test_wiener_constant_matches_integrated_gamma():
+    # the closed form against 2 ∫ gamma of the solver: trapezoid and solver
+    # errors fall as dt^2, so halving dt cuts the gap four-fold
+    model = model_from_dict(FOUR_STATE_MARKOV)
+    assert abs(stationary_law(model).mu) > 0.1
+    closed = wiener_constant_c2(model)
+    gaps = []
+    for dt in (0.02, 0.01):
+        gamma = covariance_gamma(model, Grid.for_horizon(40.0, dt))
+        gaps.append(abs(2.0 * np.trapezoid(gamma.values, dx=dt) - closed))
+        assert gaps[-1] < 0.5 * dt**2
+    assert 3.5 < gaps[0] / gaps[1] < 4.5
+    # the two-state chain flipping at rate 1: gamma = nu_1 nu_0 e^-2t, c2^2 = 1/4
+    assert wiener_constant_c2(model_from_dict(TWO_STATE_MARKOV)) == pytest.approx(0.25, rel=1e-14)
+
+
+def test_wiener_constant_rejects_non_markov_models():
+    with pytest.raises(ValueError, match="exits from each state must share one exponential law"):
+        wiener_constant_c2(model_from_dict(EXAMPLE_A))
+    # exponential everywhere, but the rate out of 0 depends on the edge
+    by_edge = dict(TWO_STATE_MARKOV, states=[-1, 0, 1],
+                   transitions=[[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
+                   sojourns=dict(TWO_STATE_MARKOV["sojourns"],
+                                 **{"-1": {"family": "exponential", "rate": 1.0}}),
+                   edges={"0->1": {"family": "exponential", "rate": 2.0}})
+    with pytest.raises(ValueError, match="exits from each state must share"):
+        wiener_constant_c2(model_from_dict(by_edge))
 
 
 def _covariance_gamma_oracle(model, grid):

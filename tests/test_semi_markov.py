@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from semimarket import semi_markov
 from semimarket.config import model_from_dict
+from semimarket.distributions import Exponential
 from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, LIMIT_MODEL, MARKOV_MODEL
 from semimarket.paths import SamplePath
 from semimarket.semi_markov import (
@@ -16,7 +17,6 @@ from semimarket.semi_markov import (
     limit_constant_c2,
     states_at_times,
     stationary_law,
-    validate_model,
 )
 
 from oracles import (
@@ -63,7 +63,8 @@ def asym():
 
 def _bare_model(states, p=None):
     p = np.full((len(states), len(states)), 1.0 / len(states)) if p is None else p
-    return SemiMarkovModel(states=states, p=p, sojourns={})
+    return SemiMarkovModel(states=states, p=p,
+                           sojourns={(i, j): Exponential(1.0) for i in states for j in states})
 
 
 def test_state_space_invariants():
@@ -86,13 +87,26 @@ def test_state_space_invariants():
 
 
 def test_validate_example_a_clean(example_a):
-    assert validate_model(example_a) == []
+    # a model that is built is admissible; alpha is derived, never passed
+    assert example_a.alpha == 1.5
+    with pytest.raises(TypeError, match="alpha"):
+        SemiMarkovModel(states=example_a.states, p=example_a.p,
+                        sojourns=example_a.sojourns, alpha=1.5)
 
 
 def test_validate_flags_bad_row():
     bad = dict(EXAMPLE_A, transitions=[[0.0, 0.9, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
-    out = validate_model(model_from_dict(bad))
-    assert any("row 0" in v for v in out)
+    with pytest.raises(ValueError, match="invalid model: row 0"):
+        model_from_dict(bad)
+    # a NaN entry makes its row sum NaN, which is not 1 either
+    with pytest.raises(ValueError, match="invalid model: row 1 .* sums to nan"):
+        model_from_dict(dict(EXAMPLE_A, transitions=[[0.0, 1.0, 0.0], [np.nan, 0.0, 0.5],
+                                                     [0.0, 1.0, 0.0]]))
+    # one message lists every problem
+    heavy_1 = {"family": "pareto", "scale": 1.0, "alpha": 1.5}
+    worse = dict(bad, sojourns=dict(EXAMPLE_A["sojourns"], **{"1": heavy_1}))
+    with pytest.raises(ValueError, match="row 0 .*; heavy-tailed sojourn on active exit 1 -> 0"):
+        model_from_dict(worse)
 
 
 def test_validate_flags_heavy_active_exit():
@@ -105,8 +119,8 @@ def test_validate_flags_heavy_active_exit():
             "1": {"family": "pareto", "scale": 1.0, "alpha": 1.5},
         },
     }
-    out = validate_model(model_from_dict(bad))
-    assert any("thin-tailed" in v for v in out)
+    with pytest.raises(ValueError, match="invalid model: .*thin-tailed"):
+        model_from_dict(bad)
 
 
 def test_validate_flags_missing_heavy_state():
@@ -121,10 +135,16 @@ def test_validate_flags_missing_heavy_state():
     }
     model = model_from_dict(mixed)
     # all-light model is the Markov regime: allowed, alpha undefined
-    assert validate_model(model) == []
     assert model.alpha is None
     with pytest.raises(ValueError, match="Hurst"):
         model.hurst()
+    # a light exit from 0 beside a heavy one is not
+    lopsided = dict(EXAMPLE_A, edges={"0->1": {"family": "exponential", "rate": 0.5}})
+    with pytest.raises(ValueError, match="invalid model: inactive-state exit 0 -> 1 is not heavy"):
+        model_from_dict(lopsided)
+    two_indices = dict(EXAMPLE_A, edges={"0->1": {"family": "pareto", "scale": 1.0, "alpha": 1.6}})
+    with pytest.raises(ValueError, match=r"share one tail index in \(1, 2\), got \[1.5, 1.6\]"):
+        model_from_dict(two_indices)
 
 
 def test_validate_flags_reducible_chain():
@@ -133,11 +153,8 @@ def test_validate_flags_reducible_chain():
         "transitions": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
         "sojourns": EXAMPLE_A["sojourns"],
     }
-    model = model_from_dict(cfg)
-    assert any("irreducible" in v for v in validate_model(model))
-    # the law fails when asked for, not when the model is built
-    with pytest.raises(np.linalg.LinAlgError):
-        stationary_law(model)
+    with pytest.raises(ValueError, match="invalid model: embedded chain is not irreducible"):
+        model_from_dict(cfg)
 
 
 # -- stationary law -----------------------------------------------------------
@@ -410,8 +427,7 @@ PER_EDGE = dict(EXAMPLE_A, sojourns=dict(
 })
 ENGINE_MODELS = {"example-a": EXAMPLE_A, "limit": LIMIT_MODEL, "markov": MARKOV_MODEL,
                  "per-edge": PER_EDGE}
-ENGINE_STARTS = {"stationary": {}, "fixed-0": dict(stationary=False, initial_state=0),
-                 "stationary-1": dict(initial_state=1)}
+ENGINE_STARTS = {"stationary": {}, "stationary-1": dict(initial_state=1)}
 
 
 def _assert_same_rounds(rounds, reference, n_rounds=None):
