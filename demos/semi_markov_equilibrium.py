@@ -5,17 +5,15 @@ theorem raises a ValueError listing every problem.
 
 States are -1 (selling), 0 (inactive, heavy-tailed sojourns), +1 (buying).
 The stationary law fixes the occupation measure nu, mean recurrence times eta,
-and the drift mu; the limit constant c^2 exists only when the drift condition
-mu * sum_k k m_k / eta_k^2 > 0 holds.
+and the drift mu.  By the cycle formula the expected inactive visits between
+two entrances to +1 are E N_1 = pi_0 / pi_1, so the tail constants
+C_j = pi_0 nu_j / (pi . m) and the limit constant
+c^2 = pi_0 mu^2 / ((pi . m) 2H(1-H)(2H-1)) come straight from the law; c^2
+exists only when the drift condition mu * sum_k k m_k / eta_k^2 > 0 holds.
 """
 import numpy as np
 
-from semimarket import (
-    expected_visits_before_hit,
-    limit_constant_c2,
-    load_model,
-    stationary_law,
-)
+from semimarket import limit_constant_c2, load_model, stationary_law, tail_constant_Cj
 from semimarket.semi_markov import jump_rounds, theorem_condition_value
 
 for name in ("example_a", "asymmetric"):
@@ -26,8 +24,9 @@ for name in ("example_a", "asymmetric"):
     print("pi :", np.round(law.pi, 4))
     print("nu :", np.round(law.nu, 4), " mu:", round(law.mu, 4))
     print("eta:", np.round(law.eta, 4))
-    print("expected inactive visits between returns to +1:",
-          expected_visits_before_hit(model, 1, 1))
+    zero, up = model.states.index(0), model.states.index(1)
+    print("expected inactive visits between returns to +1, pi_0/pi_1:",
+          round(law.pi[zero] / law.pi[up], 6), " C_1:", round(tail_constant_Cj(model, 1), 6))
     holds, product, _, _ = theorem_condition_value(model)
     print("drift condition holds:", bool(holds), " product:", round(product, 6))
     if holds:

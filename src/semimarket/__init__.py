@@ -13,7 +13,6 @@ from .paths import SamplePath
 from .semi_markov import (
     SemiMarkovModel,
     StationaryLaw,
-    expected_visits_before_hit,
     hurst_from_alpha,
     limit_constant_c2,
     stationary_law,

@@ -27,6 +27,7 @@ from . import integrals as int_mod
 from . import market as mkt
 from . import renewal as rnw
 from .config import model_from_dict
+from .distributions import Exponential, Pareto
 from .paths import SamplePath
 from .semi_markov import limit_constant_c2, states_at_times, stationary_law, \
     tail_constant_Cj, wiener_constant_c2
@@ -186,13 +187,16 @@ _PARAM_CHECKS = {
 }
 
 
-# kind -> (what, rule(model, merged params)) pairs: each rule is the one the
-# runner meets later, and raises ValueError when the kind cannot use the model
+# kind -> (what, rule(model, merged params)) pairs, checked after the params:
+# each raises ValueError where the runner would later fail or misread a number
 _MODEL_CHECKS = {
     "markov-baseline": (("model", lambda m, p: mkt.require_exponential(m)),),
-    "limit-verification": (("model", lambda m, p: limit_constant_c2(m)),),
+    "limit-verification": (("model", lambda m, p: limit_constant_c2(m)),
+                           ("params.renewal_horizon",
+                            lambda m, p: _reaches_1e3(p["renewal_horizon"]))),
     "renewal-tables": (("model", lambda m, p: tail_constant_Cj(m, 1)),
-                       ("params.dt", lambda m, p: rnw.check_grid_step(m, p["dt"]))),
+                       ("params.dt", lambda m, p: rnw.check_grid_step(m, p["dt"])),
+                       ("model", lambda m, p: _symmetric_gamma(m, 0.0))),
 }
 
 
@@ -401,6 +405,11 @@ def run_markov_baseline(p, seed, model, threads):
     return [cell, lin_cell], {}
 
 
+def _reaches_1e3(horizon):
+    if not horizon >= 1e3:  # past its grid gamma would read its held last value
+        raise ValueError(f"gamma_ratio_at_1e3 reads gamma at t = 1e3, past horizon {horizon:g}")
+
+
 def run_limit_verification(p, seed, model, threads):
     cell, agg0 = _median_hurst_cells("limit_verification", model, p, seed, "fractional",
                                      threads)
@@ -466,6 +475,23 @@ def stationarity_check(model, times, n_rep, seeds, base_seed):
             "counts": counts.tolist(), "min_pvalue": min(pvals)}
 
 
+def _symmetric_gamma(model, t):
+    """gamma(t) = 2 nu_1 e^-t: after its first jump the model's mean mood is 0.
+
+    That needs states {-1, 0, 1}, -1 and 1 held Exponential(rate 1) and left
+    only for 0, and exits from 0 of equal probability and law toward -1 and 1.
+    """
+    s, p, law = model.states, model.p, model.law
+    premise = set(s) == {-1, 0, 1} and all(
+        p[s.index(k), s.index(0)] == 1.0 and law(k, 0) == Exponential(1.0) for k in (-1, 1)
+    ) and p[s.index(0), s.index(-1)] == p[s.index(0), s.index(1)] and law(0, -1) == law(0, 1)
+    if not premise:
+        raise ValueError("the closed form 2 nu_1 e^-t needs states {-1, 0, 1}, -1 and 1 held "
+                         "Exponential(rate 1) and left only for 0, and mirror-symmetric exits "
+                         "from 0")
+    return 2.0 * stationary_law(model).nu[s.index(1)] * np.exp(-np.asarray(t, dtype=float))
+
+
 def run_renewal_tables(p, seed, model, threads):
     model_obj = model_from_dict(model)
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
@@ -486,9 +512,7 @@ def run_renewal_tables(p, seed, model, threads):
         verdicts.append(_verdict(f"pstar11_vs_mc_t{t_q:g}", abs(num - frac) / se,
                                  band=(0.0, 3.0)))
     gamma = rnw.covariance_gamma(model_obj, grid)
-    nu1 = stationary_law(model_obj).nu[model_obj.states.index(1)]
-    exact = 2.0 * nu1 * np.exp(-grid.times())
-    worst = float(np.abs(gamma.values - exact).max())
+    worst = float(np.abs(gamma.values - _symmetric_gamma(model_obj, grid.times())).max())
     verdicts.append(_verdict("gamma_vs_closed_form", worst, band=(0.0, 10.0 * grid.dt)))
     stat = stationarity_check(model_obj, [0.0, p["horizon"] / 2.0, p["horizon"]],
                               p["stationarity_rep"], p["stationarity_seeds"],
@@ -603,8 +627,6 @@ def run_integral_identities(p, seed, model, threads):
 # -- key renewal --------------------------------------------------------------------
 
 def run_key_renewal(p, seed, model, threads):
-    from .distributions import Pareto
-
     law = Pareto(scale=p["scale"], alpha=p["alpha"])
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
     z = SamplePath(grid.dt, np.exp(-grid.times()))
@@ -638,13 +660,16 @@ def limit_constant_comparison(model_dict, dt=0.05, horizon=1.05e4,
     window; the t^(2H) coefficient divided by the slowly varying factor L is
     compared with the closed-form constant.
     """
+    lo, hi = fit_window
+    if not 0.0 < lo < hi <= horizon:  # past its grid the variance holds its last value
+        raise ValueError(f"fit_window {fit_window} must satisfy 0 < low < high <= horizon "
+                         f"{horizon:g}")
     model_obj = model_from_dict(model_dict)
     c2 = limit_constant_c2(model_obj)
     h = model_obj.hurst()
     grid = rnw.Grid.for_horizon(horizon, dt)
     gamma = rnw.covariance_gamma(model_obj, grid)
     var = rnw.variance_of_integral(gamma)
-    lo, hi = fit_window
     tt = np.geomspace(lo, hi, 40)
     l_factor = float(model_obj.tail_scale(np.sqrt(lo * hi)))
     basis = np.column_stack([tt, tt ** (2.0 * h)])

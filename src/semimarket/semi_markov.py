@@ -21,7 +21,6 @@ __all__ = [
     "SemiMarkovModel",
     "StationaryLaw",
     "stationary_law",
-    "expected_visits_before_hit",
     "tail_constant_Cj",
     "limit_constant_c2",
     "wiener_constant_c2",
@@ -189,33 +188,6 @@ def _solve_stationary_law(model):
     return StationaryLaw(states=states, pi=pi, nu=nu, m=m, m_cond=m_cond, eta=eta, mu=mu)
 
 
-def expected_visits_before_hit(model: SemiMarkovModel, start, target):
-    """Expected visits of the embedded chain to state 0 strictly before hitting `target`.
-
-    Starting at xi_0 = start; a visit at time 0 is not counted.  Computed from
-    the fundamental matrix of the chain with `target` absorbing.
-    """
-    p = model.p
-    states = list(model.states)
-    t_idx = states.index(target)
-    keep = [k for k in range(len(states)) if k != t_idx]
-    sub = p[np.ix_(keep, keep)]
-    fundamental = np.linalg.inv(np.eye(len(keep)) - sub)
-    zero_col = keep.index(states.index(0)) if states.index(0) in keep else None
-    if zero_col is None:
-        # counting visits to the absorbing state itself: none before the hit
-        return 0.0
-    if start == target:
-        # one step out of target, then absorb on return
-        visits = 0.0
-        for col, k in enumerate(keep):
-            visits += p[t_idx, k] * fundamental[col, zero_col]
-        return float(visits)
-    s_row = keep.index(states.index(start))
-    correction = 1.0 if start == 0 else 0.0
-    return float(fundamental[s_row, zero_col] - correction)
-
-
 def hurst_from_alpha(alpha):
     """Self-similarity exponent H = (3 - alpha)/2 for tail index alpha in (1,2)."""
     if not 1.0 < alpha < 2.0:
@@ -239,36 +211,34 @@ def theorem_condition_value(model: SemiMarkovModel):
 
 
 def tail_constant_Cj(model: SemiMarkovModel, target):
-    """C_j = (m_j / eta_j^2) * E N_j for an active state j.
+    """C_j = (m_j / eta_j^2) E N_j = pi_0 nu_j / (pi . m) for an active state j.
 
-    E N_j is the expected number of inactive-state visits between successive
-    entrances to j.
+    E N_j, the mean number of inactive-state visits between two entrances to j,
+    is pi_0 / pi_j by the cycle formula (Norris 1997, Thm 1.7.6), and
+    m_j / eta_j^2 = pi_j nu_j / (pi . m).
     """
     if target == 0 or target not in model.states:
         raise ValueError(f"tail constant is defined for the active states only, not {target}")
     law = stationary_law(model)
-    jj = law.states.index(target)
-    visits = expected_visits_before_hit(model, target, target)
-    return float(law.m[jj] / law.eta[jj] ** 2 * visits)
+    return float(law.pi[law.states.index(0)] * law.nu[law.states.index(target)] / (law.pi @ law.m))
 
 
 def limit_constant_c2(model: SemiMarkovModel):
-    """Limit constant c^2 = mu sum_j j C_j / [2H(1-H)(2H-1)], C_j from `tail_constant_Cj`.
+    """c^2 = mu sum_j j C_j / [2H(1-H)(2H-1)] = pi_0 mu^2 / [(pi . m) 2H(1-H)(2H-1)].
 
-    Requires a heavy-tailed inactive state and the positivity condition
+    The closed form is `tail_constant_Cj`'s with sum_j j nu_j = mu.  Requires a
+    heavy-tailed inactive state and the positivity condition
     mu * sum_k k m_k/eta_k^2 > 0: a ValueError says which fails.
     """
     h = model.hurst()
-    holds, product, mu, s = theorem_condition_value(model)
+    holds, product, mu, _ = theorem_condition_value(model)
     if not holds:
         raise ValueError(
             f"limit-theorem condition violated: mu * sum_k k m_k/eta_k^2 = {product!r} "
             "must be strictly positive (fails e.g. for centered models with mu = 0)")
-    total = sum(j * tail_constant_Cj(model, j) for j in model.states if j != 0)
-    c2 = mu * total / (2.0 * h * (1.0 - h) * (2.0 * h - 1.0))
-    if not c2 > 0.0:
-        raise ValueError(f"degenerate limit constant c^2 = {c2!r}")
-    return c2
+    law = stationary_law(model)
+    pi0 = law.pi[law.states.index(0)]
+    return float(pi0 * mu**2 / (law.pi @ law.m) / (2.0 * h * (1.0 - h) * (2.0 * h - 1.0)))
 
 
 def wiener_constant_c2(model: SemiMarkovModel):

@@ -2,8 +2,9 @@
 
 They live beside the tests because no experiment kind calls them: the
 one-agent sampler and the exact integral of its trajectory, the first passage
-from the equilibrium start, the renewal function, the equilibrium CDF, the
-drift-condition report, the goodness moments of an amplitude model, a
+from the equilibrium start, the renewal function, the embedded chain's
+expected visits to 0 before a hit, the equilibrium CDF, the drift-condition
+report, the goodness moments of an amplitude model, a
 reference agent engine whose random streams the package engine must reproduce,
 and the plain forms of the marginal sampler, the fGn assembly and the
 covariance self-test's path values that the package's faster forms must match.
@@ -42,6 +43,33 @@ def renewal_function(f_jj: SamplePath) -> SamplePath:
     """R(t) = expected entrances in [0,t] counting the one at 0; solves R = 1 + F*R."""
     r = solve_volterra(np.ones((1, f_jj.n)), f_jj.values[None, None])[0]
     return SamplePath(f_jj.dt, r)
+
+
+def expected_visits_before_hit(model, start, target):
+    """Expected visits of the embedded chain to state 0 strictly before hitting `target`.
+
+    Starting at xi_0 = start; a visit at time 0 is not counted.  Computed from
+    the fundamental matrix of the chain with `target` absorbing.
+    """
+    p = model.p
+    states = list(model.states)
+    t_idx = states.index(target)
+    keep = [k for k in range(len(states)) if k != t_idx]
+    sub = p[np.ix_(keep, keep)]
+    fundamental = np.linalg.inv(np.eye(len(keep)) - sub)
+    zero_col = keep.index(states.index(0)) if states.index(0) in keep else None
+    if zero_col is None:
+        # counting visits to the absorbing state itself: none before the hit
+        return 0.0
+    if start == target:
+        # one step out of target, then absorb on return
+        visits = 0.0
+        for col, k in enumerate(keep):
+            visits += p[t_idx, k] * fundamental[col, zero_col]
+        return float(visits)
+    s_row = keep.index(states.index(start))
+    correction = 1.0 if start == 0 else 0.0
+    return float(fundamental[s_row, zero_col] - correction)
 
 
 def volterra_longdouble(forcing, kern):

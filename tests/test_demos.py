@@ -1,4 +1,4 @@
-"""Each demo script runs to completion from the repository root."""
+"""Each demo script and the README's library tour run to completion from the repository root."""
 import os
 import pathlib
 import subprocess
@@ -10,10 +10,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo):
+def _run(args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    _run([str(demo)])
+
+
+def test_readme_library_tour_runs():
+    # the README's one python block uses the public names; a removed or renamed
+    # one fails here
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    _run(["-c", blocks[0].split("```")[0]])

@@ -20,6 +20,7 @@ from semimarket.experiments import (
     ExperimentSpec,
     alpha_variant,
     chi2_sf,
+    limit_constant_comparison,
     load_experiment,
     run,
     stationarity_check,
@@ -683,11 +684,30 @@ def test_cli_rejects_unusable_rhos(tmp_path, capsys, params):
     assert "rhos" in capsys.readouterr().err
 
 
-# kind/model pairs each kind cannot run: each used to exit 1 with a traceback,
-# limit-verification only after every market replicate had run
+# kind/model pairs each kind cannot run: each used to exit 1 with a traceback
+# (limit-verification only after every market replicate had run), to judge a
+# right gamma against a closed form that does not hold for the model (the
+# renewal-tables premise cases), or to report gamma at the renewal horizon as
+# gamma_ratio_at_1e3 (limit-short-horizon)
 _NO_STATE_1 = {"states": [-1, 0], "transitions": [[0.0, 1.0], [1.0, 0.0]],
                "sojourns": {"-1": {"family": "exponential", "rate": 1.0},
                             "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5}}}
+
+
+def _moods(active=None, zero_to_1=None, states=(-1, 0, 1), transitions=None):
+    """EXAMPLE_A_MODEL with its active law, its 0 -> 1 law, its labels or its chain replaced."""
+    active = active or {"family": "exponential", "rate": 1.0}
+    out = dict(EXAMPLE_A_MODEL, states=list(states),
+               sojourns={str(states[0]): active, "0": EXAMPLE_A_MODEL["sojourns"]["0"],
+                         str(states[2]): active})
+    if zero_to_1:
+        out["edges"] = {"0->1": zero_to_1}
+    return dict(out, transitions=transitions) if transitions else out
+
+
+_TABLES_PREMISE = ("model unusable by renewal-tables: the closed form 2 nu_1 e^-t needs states "
+                   "{-1, 0, 1}, -1 and 1 held Exponential(rate 1) and left only for 0, and "
+                   "mirror-symmetric exits from 0")
 _UNUSABLE = {
     "markov-on-pareto": ("markov-baseline", EXAMPLE_A_MODEL, {}, "model unusable by "
                          "markov-baseline: markov_market requires all-exponential"),
@@ -697,6 +717,20 @@ _UNUSABLE = {
                                "renewal-tables: tail constant is defined for the active states only, not 1"),
     "tables-coarse-dt": ("renewal-tables", None, {"dt": 0.1}, "params.dt unusable by "
                          "renewal-tables: grid step 0.1 too coarse"),
+    "tables-asymmetric": ("renewal-tables", ASYMMETRIC_MODEL, {}, _TABLES_PREMISE),
+    "tables-zero-laws": ("renewal-tables", _moods(zero_to_1={"family": "pareto", "scale": 2.0,
+                                                             "alpha": 1.5}), {}, _TABLES_PREMISE),
+    "tables-states": ("renewal-tables", _moods(states=(-2, 0, 1)), {}, _TABLES_PREMISE),
+    "tables-active-rate": ("renewal-tables", _moods({"family": "exponential", "rate": 2.0}), {},
+                           _TABLES_PREMISE),
+    "tables-active-uniform": ("renewal-tables", _moods({"family": "uniform", "lo": 0.5,
+                                                        "hi": 1.5}), {}, _TABLES_PREMISE),
+    "tables-active-loop": ("renewal-tables", _moods(transitions=[
+        [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]), {}, _TABLES_PREMISE),
+    "limit-short-horizon": ("limit-verification", None,
+                            {"renewal_horizon": 500, "slope_window": [100, 400]},
+                            "params.renewal_horizon unusable by limit-verification: "
+                            "gamma_ratio_at_1e3 reads gamma at t = 1e3, past horizon 500"),
 }
 
 
@@ -708,6 +742,24 @@ def test_cli_rejects_a_model_the_kind_cannot_use(tmp_path, capsys, case):
     assert cli_main([kind, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_renewal_tables_accepts_the_symmetric_models():
+    # a zero self-loop keeps the exits from 0 mirror-symmetric
+    looped = dict(EXAMPLE_A_MODEL, transitions=[[0.0, 1.0, 0.0], [0.25, 0.5, 0.25],
+                                                [0.0, 1.0, 0.0]])
+    for model in (EXAMPLE_A_MODEL, MARKOV_MODEL, looped):
+        ExperimentSpec(kind="renewal-tables", model=model)
+
+
+def test_limit_constant_comparison_rejects_a_window_past_its_grid():
+    # with horizon 500 the default window (1e3, 1e4) read the held last value
+    # of the variance and returned rel_err 1.098 for this model
+    model = alpha_variant(ASYMMETRIC_MODEL, 1.4)
+    for kwargs in ({"horizon": 500}, {"fit_window": (1e3, 2e4)},
+                   {"fit_window": (0.0, 1e3)}, {"fit_window": (1e3, 1e3)}):
+        with pytest.raises(ValueError, match="must satisfy 0 < low < high <= horizon"):
+            limit_constant_comparison(model, dt=0.05, **kwargs)
 
 
 def test_spec_rejects_the_removed_c2_params():

@@ -26,10 +26,11 @@ from semimarket.renewal import (
     variance_of_integral,
     write_grid_csv,
 )
-from semimarket.semi_markov import expected_visits_before_hit, states_at_times, stationary_law, \
-    tail_constant_Cj, wiener_constant_c2
+from semimarket.semi_markov import states_at_times, stationary_law, tail_constant_Cj, \
+    wiener_constant_c2
 
-from oracles import of_state, renewal_function, stationary_first_passage, volterra_longdouble
+from oracles import expected_visits_before_hit, of_state, renewal_function, \
+    stationary_first_passage, volterra_longdouble
 
 EXAMPLE_A = {
     "states": [-1, 0, 1],

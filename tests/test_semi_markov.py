@@ -6,21 +6,23 @@ from scipy.stats import kstest
 
 from semimarket import semi_markov
 from semimarket.config import model_from_dict
-from semimarket.distributions import Exponential
+from semimarket.distributions import Exponential, Pareto, Uniform
 from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, LIMIT_MODEL, MARKOV_MODEL
 from semimarket.paths import SamplePath
 from semimarket.semi_markov import (
     SemiMarkovModel,
-    expected_visits_before_hit,
     hurst_from_alpha,
     jump_rounds,
     limit_constant_c2,
     states_at_times,
     stationary_law,
+    tail_constant_Cj,
+    theorem_condition_value,
 )
 
 from oracles import (
     Trajectory,
+    expected_visits_before_hit,
     integral_at,
     integrate_trajectory,
     occupation_times,
@@ -311,8 +313,59 @@ def test_c2_asymmetric_value(asym):
     c_minus = of_state(law, law.m, -1) / of_state(law, law.eta, -1) ** 2 \
         * expected_visits_before_hit(asym, -1, -1)
     oracle = 0.1 * (c_plus - c_minus) / (2 * 0.75 * 0.25 * 0.5)
+    assert tail_constant_Cj(asym, 1) == pytest.approx(7.0 / 160.0)
+    assert tail_constant_Cj(asym, -1) == pytest.approx(3.0 / 160.0)
     assert limit_constant_c2(asym) == pytest.approx(oracle)
     assert limit_constant_c2(asym) == pytest.approx(2.0 / 150.0)
+
+
+def _random_model(rng):
+    """An irreducible model on 2-6 states, self-loops allowed, with a law per edge:
+    Pareto exits from 0 sharing one alpha, Exponential or Uniform active exits."""
+    n = int(rng.integers(2, 7))
+    labels = rng.choice([k for k in range(-4, 5) if k], size=n - 1, replace=False)
+    states = (0, *map(int, labels))
+    weights = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    cycle = rng.permutation(n)
+    weights[cycle, np.roll(cycle, 1)] += rng.random(n) + 0.1  # one cycle through every state
+    p = weights / weights.sum(axis=1, keepdims=True)
+    alpha = float(rng.uniform(1.1, 1.9))
+    sojourns = {}
+    for ii, i in enumerate(states):
+        for jj, j in enumerate(states):
+            if p[ii, jj] == 0.0:
+                continue
+            if i == 0:
+                sojourns[(i, j)] = Pareto(scale=float(rng.uniform(0.2, 3.0)), alpha=alpha)
+            elif rng.random() < 0.5:
+                sojourns[(i, j)] = Exponential(rate=float(rng.uniform(0.2, 5.0)))
+            else:
+                lo = float(rng.uniform(0.0, 2.0))
+                sojourns[(i, j)] = Uniform(lo=lo, hi=lo + float(rng.uniform(0.1, 3.0)))
+    return SemiMarkovModel(states, p, sojourns)
+
+
+def test_limit_constants_match_the_visit_count_oracle_on_random_models():
+    # C_j = pi_0 nu_j / (pi . m) against (m_j / eta_j^2) E N_j from the
+    # fundamental matrix, and c^2 against mu sum_j j C_j / [2H(1-H)(2H-1)]
+    n_c2 = n_loops = 0
+    for seed in range(120):
+        model = _random_model(np.random.default_rng([2024, seed]))
+        law = stationary_law(model)
+        n_loops += bool(np.diag(model.p).any())
+        oracle = {j: of_state(law, law.m, j) / of_state(law, law.eta, j) ** 2
+                  * expected_visits_before_hit(model, j, j) for j in model.states if j != 0}
+        for j, c in oracle.items():
+            assert tail_constant_Cj(model, j) == pytest.approx(c, rel=1e-12, abs=0.0)
+        if not theorem_condition_value(model)[0]:
+            with pytest.raises(ValueError, match="condition violated"):
+                limit_constant_c2(model)
+            continue
+        h = model.hurst()
+        c2 = law.mu * sum(j * c for j, c in oracle.items()) / (2 * h * (1 - h) * (2 * h - 1))
+        assert limit_constant_c2(model) == pytest.approx(c2, rel=1e-12, abs=0.0)
+        n_c2 += 1
+    assert n_c2 >= 100 and n_loops >= 100
 
 
 def test_c2_rejects_exact_zero_sum():
