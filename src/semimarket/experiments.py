@@ -6,9 +6,9 @@ with named verdicts against quantitative bands.  `EXPERIMENT_KINDS` defines
 each kind by its runner, default model and default params; a spec may
 override only those params.  A spec builds its model, which checks itself,
 checks its merged params against `_PARAM_CHECKS` and checks that the kind can
-use the model (`_MODEL_CHECKS`) when it is built; `run` hands those params to
-the runner, writes report.json (which records the model and params
-that ran) plus CSV artifacts, and is deterministic given (spec, seed).
+use the model (`_MODEL_CHECKS`) when it is built; `run` hands that model and
+those params to the runner, writes report.json (which records the model and
+params that ran) plus CSV artifacts, and is deterministic given (spec, seed).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from . import renewal as rnw
 from .config import model_from_dict
 from .distributions import Exponential, Pareto
 from .paths import SamplePath
-from .semi_markov import limit_constant_c2, states_at_times, stationary_law, \
+from .semi_markov import SemiMarkovModel, limit_constant_c2, states_at_times, stationary_law, \
     tail_constant_Cj, wiener_constant_c2
 
 __all__ = [
@@ -79,7 +79,11 @@ def alpha_variant(base, alpha):
 
 @dataclass
 class ExperimentSpec:
-    """A kind, its model and the params that override the kind's defaults."""
+    """A kind, its model and the params that override the kind's defaults.
+
+    A model of None becomes the kind's default config; `built_model` is the
+    model built from it (None for a kind that takes none).
+    """
 
     kind: str
     model: dict | None = None
@@ -88,6 +92,7 @@ class ExperimentSpec:
     out_dir: str | None = None
     threads: int = 1
     merged_params: dict = field(init=False, repr=False)
+    built_model: SemiMarkovModel | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -97,6 +102,8 @@ class ExperimentSpec:
         for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
             if not usable(getattr(self, key), None):
                 raise ValueError(f"spec key {key} must be {what}, got {getattr(self, key)!r}")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ValueError(f"spec key out must be a string or null, got {self.out_dir!r}")
         if not isinstance(self.params, dict) or not isinstance(self.model, (dict, type(None))):
             raise ValueError("params must be an object and model an object or null")
         _, default_model, defaults = EXPERIMENT_KINDS[self.kind]
@@ -106,15 +113,15 @@ class ExperimentSpec:
                              f"known: {sorted(defaults)}")
         if self.model is not None and default_model is None:
             raise ValueError(f"{self.kind} takes no model")
-        model_dict = default_model if self.model is None else self.model
-        model = None if model_dict is None else model_from_dict(model_dict)
+        self.model = default_model if self.model is None else self.model
+        self.built_model = None if self.model is None else model_from_dict(self.model)
         merged = {**defaults, **self.params}
         for key, (what, usable) in _PARAM_CHECKS.items():
             if key in merged and not usable(merged[key], merged):
                 raise ValueError(f"params.{key} must be {what}, got {merged[key]!r}")
         for name, usable in _MODEL_CHECKS.get(self.kind, ()):
             try:
-                usable(model, merged)
+                usable(self.built_model, merged)
             except ValueError as exc:
                 raise ValueError(f"{name} unusable by {self.kind}: {exc}") from None
         self.merged_params = merged
@@ -133,17 +140,13 @@ def _numbers(v, inside, least=1):
         _number(x) and inside(x) for x in v)
 
 
-def _pair(v, high=np.inf):
-    """v is a [low, high] pair of numbers with low <= high <= `high`."""
-    return _numbers(v, lambda x: x <= high, 2) and len(v) == 2 and v[0] <= v[1]
-
-
 def _count(least):
     return f"an integer of at least {least}", lambda v, p: _integer(v, least)
 
 
 _POSITIVE = ("a number in (0, inf)", lambda v, p: _number(v) and 0.0 < v < np.inf)
-_PAIR = ("a [low, high] pair of numbers with low <= high", lambda v, p: _pair(v))
+_PAIR = ("a [low, high] pair of numbers with low <= high",
+         lambda v, p: _numbers(v, lambda x: x <= np.inf, 2) and len(v) == 2 and v[0] <= v[1])
 _TIMES = ("one or more times in (0, horizon]",
           lambda v, p: _numbers(v, lambda t: 0.0 < t <= p["horizon"]))
 _HURSTS = ("one or more Hurst values in (0, 1)", lambda v, p: _numbers(v, lambda h: 0.0 < h < 1.0))
@@ -164,18 +167,16 @@ _PARAM_CHECKS = {
     "n_grid": ("an integer of at least 2 and, with min_lag, above 2^10 with 5 dyadic lags "
                "from min_lag to n_grid // 16", lambda v, p: _integer(v, 2) and (
                    "min_lag" not in p or (v > 2**10 and 16 * p["min_lag"] <= v // 16))),
-    **{key: _POSITIVE for key in ("epsilon", "dt", "horizon", "renewal_dt", "renewal_horizon",
-                                  "scale")},
+    **{key: _POSITIVE for key in ("epsilon", "dt", "horizon", "scale")},
     "hurst": ("a number in (0, 1)", lambda v, p: _number(v) and 0.0 < v < 1.0),
     "alpha": ("a number in (1, 2)", lambda v, p: _number(v) and 1.0 < v < 2.0),
     "t_checks": _TIMES,
-    "ladder": _TIMES,
+    # key-renewal judges the ratio at the last rung and the gaps in rung order
+    "ladder": ("one or more strictly increasing times in (0, horizon]",
+               lambda v, p: _TIMES[1](v, p) and all(a < b for a, b in zip(v, v[1:]))),
     "cov_hs": _HURSTS,
     "calib_hs": _HURSTS,
     "band": _PAIR,
-    "slope_band": _PAIR,
-    "slope_window": ("a [low, high] pair with 0 < low < high <= renewal_horizon",
-                     lambda v, p: _pair(v, p["renewal_horizon"]) and 0.0 < v[0] < v[1]),
     # mixed-market compares its first two rhos, each with round(rho * n_agents) >= 1
     "rhos": ("two or more numbers with rho * n_agents > 0.5, so each has an active agent",
              lambda v, p: _numbers(v, lambda r: 0.5 < r * p["n_agents"] < np.inf, least=2)),
@@ -191,9 +192,7 @@ _PARAM_CHECKS = {
 # each raises ValueError where the runner would later fail or misread a number
 _MODEL_CHECKS = {
     "markov-baseline": (("model", lambda m, p: mkt.require_exponential(m)),),
-    "limit-verification": (("model", lambda m, p: limit_constant_c2(m)),
-                           ("params.renewal_horizon",
-                            lambda m, p: _reaches_1e3(p["renewal_horizon"]))),
+    "limit-verification": (("model", lambda m, p: limit_constant_c2(m)),),
     "renewal-tables": (("model", lambda m, p: tail_constant_Cj(m, 1)),
                        ("params.dt", lambda m, p: rnw.check_grid_step(m, p["dt"])),
                        ("model", lambda m, p: _symmetric_gamma(m, 0.0))),
@@ -211,6 +210,8 @@ def load_experiment(path) -> ExperimentSpec:
     unknown = sorted(set(raw) - set(_SPEC_KEYS))
     if unknown:
         raise ValueError(f"unknown spec keys {unknown}; known: {list(_SPEC_KEYS)}")
+    if "kind" not in raw:
+        raise ValueError(f"missing spec key kind; known kinds: {sorted(EXPERIMENT_KINDS)}")
     model = raw.get("model")
     if isinstance(model, str):
         base = os.path.dirname(os.path.abspath(path))
@@ -254,7 +255,8 @@ def market_hurst(path: SamplePath, min_lag=64, max_lag=None):
 def _pmap(fn, args_list, threads):
     if threads <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a forking pool starts all its workers at once: no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(threads, len(args_list))) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -331,9 +333,9 @@ def run_fbm_selftest(p, seed, model, threads):
 
 # -- market experiments --------------------------------------------------------
 
-def _market_config(model_dict, p, seed):
+def _market_config(model, p, seed):
     """Unit-amplitude market of the model with the params' size and scale."""
-    return mkt.MarketConfig(model=model_from_dict(model_dict), n_agents=p["n_agents"],
+    return mkt.MarketConfig(model=model, n_agents=p["n_agents"],
                             epsilon=p["epsilon"], amplitude=mkt.AmplitudeModel(),
                             horizon=p["horizon"], seed=seed, n_grid=p["n_grid"])
 
@@ -343,10 +345,8 @@ def _one_market_hurst(args):
 
     Replicate 0 also hands back its path.
     """
-    model_dict, p, seed, replicate, scaling = args
-    cfg = _market_config(model_dict, p, seed)
-    simulate = mkt.markov_market if scaling == "markov" else mkt.simulate_market
-    agg = simulate(cfg, replicate=replicate)
+    simulate, model, p, seed, replicate = args
+    agg = simulate(_market_config(model, p, seed), replicate=replicate)
     agg0 = agg if replicate == 0 else None
     try:
         vario, aggvar = market_hurst(agg.path(), min_lag=p["min_lag"])
@@ -355,12 +355,13 @@ def _one_market_hurst(args):
     return vario.h_hat, aggvar.h_hat, agg0, None
 
 
-def _median_hurst_cells(name, model_dict, p, seed, scaling, threads):
+def _median_hurst_cells(name, simulate, model, p, seed, threads):
     """Median-Hurst cell over the p["seeds"] replicates, and replicate 0's aggregate path.
 
-    A replicate without estimates leaves the medians None, failing both verdicts.
+    `simulate` is the market function of `mkt` that makes each replicate.  A
+    replicate without estimates leaves the medians None, failing both verdicts.
     """
-    args = [(model_dict, p, seed, rep, scaling) for rep in range(p["seeds"])]
+    args = [(simulate, model, p, seed, rep) for rep in range(p["seeds"])]
     results = _pmap(_one_market_hurst, args, threads)
     h_v, h_a = [r[0] for r in results], [r[1] for r in results]
     failures = [r[3] for r in results if r[3] is not None]
@@ -385,12 +386,13 @@ def _path_artifacts(name, agg):
 
 
 def run_example_a(p, seed, model, threads):
-    cell, agg0 = _median_hurst_cells("example_a", model, p, seed, "fractional", threads)
+    cell, agg0 = _median_hurst_cells("example_a", mkt.simulate_market, model, p, seed, threads)
     return [cell], _path_artifacts("example_a", agg0)
 
 
 def run_markov_baseline(p, seed, model, threads):
-    cell, agg0 = _median_hurst_cells("markov_baseline", model, p, seed, "markov", threads)
+    cell, agg0 = _median_hurst_cells("markov_baseline", mkt.markov_market, model, p, seed,
+                                     threads)
     # variance linear in t: by stationarity of increments the variogram of the
     # scaled path is rate * lag; fit it linearly on replicate 0's path
     x = agg0.x_scaled
@@ -405,30 +407,26 @@ def run_markov_baseline(p, seed, model, threads):
     return [cell, lin_cell], {}
 
 
-def _reaches_1e3(horizon):
-    if not horizon >= 1e3:  # past its grid gamma would read its held last value
-        raise ValueError(f"gamma_ratio_at_1e3 reads gamma at t = 1e3, past horizon {horizon:g}")
-
-
 def run_limit_verification(p, seed, model, threads):
-    cell, agg0 = _median_hurst_cells("limit_verification", model, p, seed, "fractional",
+    cell, agg0 = _median_hurst_cells("limit_verification", mkt.simulate_market, model, p, seed,
                                      threads)
     artifacts = _path_artifacts("limit_verification", agg0)
-    model_obj = model_from_dict(model)
-    grid = rnw.Grid.for_horizon(p["renewal_horizon"], p["renewal_dt"])
-    gamma = rnw.covariance_gamma(model_obj, grid)
+    # the renewal half: gamma on a dt = 0.025 grid out to t = 1.05e4, and the
+    # slope of log Var fitted on [1e2, 1e4] against the band [1.4, 1.6] around
+    # 2H = 1.5 of the default model
+    grid = rnw.Grid.for_horizon(1.05e4, 0.025)
+    gamma = rnw.covariance_gamma(model, grid)
     var = rnw.variance_of_integral(gamma)
-    lo, hi = p["slope_window"]
+    lo, hi = 1e2, 1e4
     tt = np.geomspace(lo, hi, 25)
     slope, _, stderr, r2 = fbm_mod.fit_line(np.log(tt), np.log(var.at(tt)))
-    target_h = model_obj.hurst()
-    pred = rnw.asymptotic_covariance(model_obj, 1e3)
+    pred = rnw.asymptotic_covariance(model, 1e3)
     ratio_1e3 = float(gamma.at(1e3) / pred)
     var_cell = _cell(
         "variance_slope",
-        {"slope": slope, "stderr": stderr, "r2": r2, "target": 2 * target_h,
+        {"slope": slope, "stderr": stderr, "r2": r2, "target": 2 * model.hurst(),
          "gamma_ratio_at_1e3": ratio_1e3, "window": [lo, hi]},
-        [_verdict("var_loglog_slope", slope, band=tuple(p["slope_band"]))],
+        [_verdict("var_loglog_slope", slope, band=(1.4, 1.6))],
     )
     artifacts["gamma.csv"] = ("gamma", gamma)
     artifacts["variance.csv"] = ("variance", var)
@@ -493,13 +491,12 @@ def _symmetric_gamma(model, t):
 
 
 def run_renewal_tables(p, seed, model, threads):
-    model_obj = model_from_dict(model)
     grid = rnw.Grid.for_horizon(p["horizon"], p["dt"])
-    pstar = rnw.stationary_transition(model_obj, grid)
+    pstar = rnw.stationary_transition(model, grid)
     p11 = pstar[(1, 1)]
     rng = np.random.default_rng([seed, 11])
     t_checks = np.asarray(p["t_checks"], dtype=float)
-    marg = states_at_times(model_obj, t_checks, p["mc_replicates"], rng,
+    marg = states_at_times(model, t_checks, p["mc_replicates"], rng,
                            initial_state=1)
     verdicts = []
     mc_vals, num_vals = [], []
@@ -511,15 +508,15 @@ def run_renewal_tables(p, seed, model, threads):
         num_vals.append(num)
         verdicts.append(_verdict(f"pstar11_vs_mc_t{t_q:g}", abs(num - frac) / se,
                                  band=(0.0, 3.0)))
-    gamma = rnw.covariance_gamma(model_obj, grid)
-    worst = float(np.abs(gamma.values - _symmetric_gamma(model_obj, grid.times())).max())
+    gamma = rnw.covariance_gamma(model, grid)
+    worst = float(np.abs(gamma.values - _symmetric_gamma(model, grid.times())).max())
     verdicts.append(_verdict("gamma_vs_closed_form", worst, band=(0.0, 10.0 * grid.dt)))
-    stat = stationarity_check(model_obj, [0.0, p["horizon"] / 2.0, p["horizon"]],
+    stat = stationarity_check(model, [0.0, p["horizon"] / 2.0, p["horizon"]],
                               p["stationarity_rep"], p["stationarity_seeds"],
                               seed + 1)
     verdicts.append(_verdict("stationary_marginals_pvalue", stat["min_pvalue"],
                              band=(0.01, 1.0)))
-    c1 = tail_constant_Cj(model_obj, 1)
+    c1 = tail_constant_Cj(model, 1)
     metrics = {"mc_p11": mc_vals, "numeric_p11": num_vals,
                "gamma_max_abs_err": worst, "C_1": c1,
                "stationarity": stat}
@@ -537,11 +534,10 @@ def _one_mixed_replicate(args):
     Each rho's active block at the finest block, then the combined path (first
     rho) and the inert block along the block ladder.
     """
-    model_dict, p, seed, replicate = args
-    cfg = _market_config(model_dict, p, seed)
+    model, markov, p, seed, replicate = args
+    cfg = _market_config(model, p, seed)
     blocks = p["qv_blocks"]
-    inert, actives = mkt.mixed_market(cfg, p["rhos"], model_from_dict(MARKOV_MODEL),
-                                      replicate=replicate)
+    inert, actives = mkt.mixed_market(cfg, p["rhos"], markov, replicate=replicate)
     qv_active = [fbm_mod.quadratic_variation(SamplePath(cfg.dt, active.x_scaled),
                                              block=blocks[-1]) for active in actives]
     combined = SamplePath(cfg.dt, inert.x_scaled + actives[0].x_scaled)
@@ -551,8 +547,9 @@ def _one_mixed_replicate(args):
 
 
 def run_mixed_market(p, seed, model, threads):
-    c2_sq = wiener_constant_c2(model_from_dict(MARKOV_MODEL))  # the active block's Wiener level
-    args = [(model, p, seed, rep) for rep in range(p["seeds"])]
+    markov = model_from_dict(MARKOV_MODEL)  # the active block's model
+    c2_sq = wiener_constant_c2(markov)  # and its Wiener level
+    args = [(model, markov, p, seed, rep) for rep in range(p["seeds"])]
     qv_active, qv_combined_ladder, qv_inert_ladder = zip(
         *_pmap(_one_mixed_replicate, args, threads))
     comb = np.mean(qv_combined_ladder, axis=0)
@@ -694,9 +691,7 @@ EXPERIMENT_KINDS = {
         "calib_n": 2**14, "calib_seeds": 20, "calib_hs": (0.5, 0.6, 0.75, 0.9)}),
     "example-a": (run_example_a, EXAMPLE_A_MODEL, _MARKET),
     "markov-baseline": (run_markov_baseline, MARKOV_MODEL, _MARKET),
-    "limit-verification": (run_limit_verification, LIMIT_MODEL, dict(
-        _MARKET, band=(0.67, 0.83), renewal_dt=0.025, renewal_horizon=1.05e4,
-        slope_window=(1e2, 1e4), slope_band=(1.4, 1.6))),
+    "limit-verification": (run_limit_verification, LIMIT_MODEL, dict(_MARKET, band=(0.67, 0.83))),
     "renewal-tables": (run_renewal_tables, EXAMPLE_A_MODEL, {
         "dt": 0.005, "horizon": 12.0, "mc_replicates": 100000,
         "t_checks": (1.0, 5.0, 10.0), "stationarity_rep": 3000, "stationarity_seeds": 10}),
@@ -721,16 +716,15 @@ def run(spec: ExperimentSpec) -> dict:
     spec's) and `seed` make a spec that replays the run.
     """
     t0 = time.perf_counter()
-    runner, default_model, _ = EXPERIMENT_KINDS[spec.kind]
+    runner = EXPERIMENT_KINDS[spec.kind][0]
     params = spec.merged_params
-    model = default_model if spec.model is None else spec.model
-    cells, artifacts = runner(params, spec.seed, model, spec.threads)
+    cells, artifacts = runner(params, spec.seed, spec.built_model, spec.threads)
     passed = all(v["passed"] for c in cells for v in c["verdicts"])
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": spec.kind,
         # as report.json holds them (tuples as lists), not aliasing the defaults
-        **json.loads(json.dumps({"model": model, "params": params})),
+        **json.loads(json.dumps({"model": spec.model, "params": params})),
         "seed": spec.seed,
         "passed": bool(passed),
         "cells": cells,

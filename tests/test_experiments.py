@@ -130,6 +130,13 @@ def test_repo_config_files_load():
         assert model.states == (-1, 0, 1)
 
 
+def test_shipped_model_configs_equal_the_constants():
+    for name, model in (("example_a", EXAMPLE_A_MODEL), ("asymmetric", ASYMMETRIC_MODEL),
+                        ("markov", MARKOV_MODEL)):
+        with open(f"configs/{name}.json") as fh:
+            assert json.load(fh) == json.loads(json.dumps(model)), name
+
+
 # -- experiment spec / report -------------------------------------------------------
 
 def test_spec_rejects_unknown_kind():
@@ -455,6 +462,10 @@ def test_cli_rejects_unknown_spec_key(tmp_path, capsys):
     ({"kind": "key-renewal", "threads": 0}, "threads"),
     ({"kind": "key-renewal", "threads": False}, "threads"),
     ([{"kind": "key-renewal"}], "JSON object"),
+    # an out that is not a path used to fail in os.makedirs after the whole run
+    ({"kind": "key-renewal", "out": 5}, "spec key out must be a string or null, got 5"),
+    ({"kind": "key-renewal", "out": ["x"]}, "spec key out must be a string or null, got ['x']"),
+    ({"params": {}}, "missing spec key kind; known kinds: ['example-a',"),
 ])
 def test_cli_rejects_bad_spec_values(tmp_path, capsys, spec, key):
     cfg = tmp_path / "bad.json"
@@ -518,12 +529,42 @@ def test_cli_threads_from_spec_unless_given(tmp_path, capsys):
 
 
 def test_threads_market_sweep_matches_serial():
-    # ProcessPool sweep must reproduce the serial per-seed results exactly
-    params = {"n_agents": 60, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**10 + 1,
+    # ProcessPool sweep must reproduce the serial per-seed results exactly; the
+    # workers get the market function and the built model by pickle.  2^12 + 1
+    # points cover markov-baseline's longest linearity lag, 2^11
+    params = {"n_agents": 60, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**12 + 1,
               "seeds": 3, "min_lag": 4, "band": (0.0, 1.0)}
-    serial, parallel = (run(ExperimentSpec(kind="example-a", params=dict(params), seed=11,
-                                           threads=threads)) for threads in (1, 2))
-    assert serial["cells"] == parallel["cells"]
+    for kind in ("example-a", "markov-baseline"):
+        serial, parallel = (run(ExperimentSpec(kind=kind, params=dict(params), seed=11,
+                                               threads=threads)) for threads in (1, 2))
+        assert serial["cells"] == parallel["cells"], kind
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch):
+    # a forking pool starts every worker at its first submit, so --threads 5000
+    # on a 2-seed run would fork 5000 processes; this stand-in maps in process
+    from semimarket import experiments
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    for threads, tasks, expected in ((5000, 2, [2]), (2, 3, [2]), (4, 4, [4]), (8, 1, [])):
+        sizes.clear()
+        assert experiments._pmap(abs, [-k for k in range(tasks)], threads) == list(range(tasks))
+        assert sizes == expected
 
 
 def test_market_kinds_simulate_each_replicate_once(tmp_path, monkeypatch):
@@ -547,7 +588,8 @@ def test_market_kinds_simulate_each_replicate_once(tmp_path, monkeypatch):
         assert sorted(calls) == [(fn, 0), (fn, 1)]
     monkeypatch.undo()
     # the artifacts are byte for byte what a fresh simulation of replicate 0 writes
-    agg = market.simulate_market(_market_config(EXAMPLE_A_MODEL, params, 7041))
+    agg = market.simulate_market(_market_config(model_from_dict(EXAMPLE_A_MODEL), params,
+                                                7041))
     for field in ("x_scaled", "log_price"):
         agg.path(field).to_csv(tmp_path / "fresh.csv")
         written = tmp_path / "example-a" / f"example_a_{field}.csv"
@@ -619,9 +661,10 @@ _BAD_COUNTS = (
     ("mixed-market", {"qv_blocks": [0, 8]}, "qv_blocks"),
     ("mixed-market", {"horizon": 0}, "horizon"),
     ("mixed-market", {"rhos": ["0.5", 1.0]}, "rhos"),
-    ("limit-verification", {"slope_window": [0.0, 1e4]}, "slope_window"),
-    ("limit-verification", {"renewal_dt": 0}, "renewal_dt"),
-    ("limit-verification", {"renewal_horizon": 200}, "slope_window"),
+    # a ladder out of order: [1000, 10] used to pass both key-renewal verdicts
+    ("key-renewal", {"ladder": [1e3, 10.0]}, "ladder"),
+    ("key-renewal", {"ladder": [1e2, 1e2]}, "ladder"),
+    ("key-renewal", {"ladder": [1e2, 1e3, 10**2.5]}, "ladder"),
     ("example-a", {"band": [0.5]}, "band"),
     ("key-renewal", {"alpha": 0.5}, "alpha"),
     ("key-renewal", {"band": [1.1]}, "band"),
@@ -685,10 +728,9 @@ def test_cli_rejects_unusable_rhos(tmp_path, capsys, params):
 
 
 # kind/model pairs each kind cannot run: each used to exit 1 with a traceback
-# (limit-verification only after every market replicate had run), to judge a
-# right gamma against a closed form that does not hold for the model (the
-# renewal-tables premise cases), or to report gamma at the renewal horizon as
-# gamma_ratio_at_1e3 (limit-short-horizon)
+# (limit-verification only after every market replicate had run), or to judge
+# a right gamma against a closed form that does not hold for the model (the
+# renewal-tables premise cases)
 _NO_STATE_1 = {"states": [-1, 0], "transitions": [[0.0, 1.0], [1.0, 0.0]],
                "sojourns": {"-1": {"family": "exponential", "rate": 1.0},
                             "0": {"family": "pareto", "scale": 1.0, "alpha": 1.5}}}
@@ -727,10 +769,6 @@ _UNUSABLE = {
                                                         "hi": 1.5}), {}, _TABLES_PREMISE),
     "tables-active-loop": ("renewal-tables", _moods(transitions=[
         [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]), {}, _TABLES_PREMISE),
-    "limit-short-horizon": ("limit-verification", None,
-                            {"renewal_horizon": 500, "slope_window": [100, 400]},
-                            "params.renewal_horizon unusable by limit-verification: "
-                            "gamma_ratio_at_1e3 reads gamma at t = 1e3, past horizon 500"),
 }
 
 
@@ -767,6 +805,19 @@ def test_spec_rejects_the_removed_c2_params():
     for key in ("c2_dt", "c2_horizon"):
         with pytest.raises(ValueError, match=f"unknown params \\['{key}'\\] for mixed-market"):
             ExperimentSpec(kind="mixed-market", params={key: 0.02})
+
+
+def test_spec_rejects_the_removed_renewal_params(tmp_path, capsys):
+    # limit-verification's renewal half runs at fixed dt, horizon, window and band
+    cfg = tmp_path / "old.json"
+    for key, value in (("renewal_dt", 0.025), ("renewal_horizon", 1.05e4),
+                       ("slope_window", [1e2, 1e4]), ("slope_band", [1.4, 1.6])):
+        with pytest.raises(ValueError,
+                           match=f"unknown params \\['{key}'\\] for limit-verification"):
+            ExperimentSpec(kind="limit-verification", params={key: value})
+        cfg.write_text(json.dumps({"kind": "limit-verification", "params": {key: value}}))
+        assert cli_main(["limit-verification", "--config", str(cfg)]) == 2
+        assert f"unknown params ['{key}']" in capsys.readouterr().err
 
 
 def test_mixed_market_simulates_the_inert_block_once_per_replicate(monkeypatch):
