@@ -59,10 +59,6 @@ class SojournLaw:
         """∫_t^∞ tail(s) ds; integrated_tail(0) == mean."""
         raise NotImplementedError
 
-    def slowly_varying_factor(self, t):
-        """L(t) such that tail(t) = t^(-alpha) L(t) for large t (heavy laws)."""
-        raise NotImplementedError
-
     @property
     def is_heavy(self):
         return self.tail_index is not None
@@ -122,9 +118,6 @@ class Pareto(SojournLaw):
         above = (self.scale / (self.alpha - 1.0)) * (np.maximum(t, self.scale) / self.scale) ** (1.0 - self.alpha)
         return np.where(t < self.scale, self.mean - t, above)
 
-    def slowly_varying_factor(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.scale**self.alpha)
-
     def ppf(self, u):
         u = np.asarray(u, dtype=float)
         return self.scale * (1.0 - u) ** (-1.0 / self.alpha)
@@ -173,11 +166,6 @@ class ParetoLog(SojournLaw):
         y = np.maximum(t, self.scale) / self.scale
         above = (self.scale / (a - 1.0)) * y ** (1.0 - a) * (1.0 + np.log(y) + 1.0 / (a - 1.0))
         return np.where(t < self.scale, self.mean - t, above)
-
-    def slowly_varying_factor(self, t):
-        t = np.asarray(t, dtype=float)
-        y = np.maximum(t, self.scale) / self.scale
-        return self.scale**self.alpha * (1.0 + np.log(y))
 
     def ppf(self, u):
         u = np.asarray(u, dtype=float)

@@ -42,7 +42,6 @@ __all__ = [
     "limit_constant_comparison",
     "run",
     "load_experiment",
-    "validate_report",
     "stationarity_check",
     "chi2_sf",
     "market_hurst",
@@ -394,14 +393,17 @@ def run_markov_baseline(p, seed, model, threads):
     cell, agg0 = _median_hurst_cells("markov_baseline", mkt.markov_market, model, p, seed,
                                      threads)
     # variance linear in t: by stationarity of increments the variogram of the
-    # scaled path is rate * lag; fit it linearly on replicate 0's path
+    # scaled path is rate * lag; fit it linearly on replicate 0's path at the
+    # dyadic lags from min_lag to n_grid // 8
     x = agg0.x_scaled
-    lags = (2 ** np.arange(6, 12)).astype(int)
+    lags = [p["min_lag"]]
+    while 2 * lags[-1] <= p["n_grid"] // 8:
+        lags.append(2 * lags[-1])
     vario = [float(np.mean((x[lag:] - x[:-lag]) ** 2)) for lag in lags]
     r2 = fbm_mod.fit_line(lags, vario)[3]
     lin_cell = _cell(
         "markov_variance_linearity",
-        {"lags": lags.tolist(), "variogram": vario, "r2": r2},
+        {"lags": lags, "variogram": vario, "r2": r2},
         [_verdict("variance_linear_r2", r2, band=(0.95, 1.0))],
     )
     return [cell, lin_cell], {}
@@ -412,8 +414,7 @@ def run_limit_verification(p, seed, model, threads):
                                      threads)
     artifacts = _path_artifacts("limit_verification", agg0)
     # the renewal half: gamma on a dt = 0.025 grid out to t = 1.05e4, and the
-    # slope of log Var fitted on [1e2, 1e4] against the band [1.4, 1.6] around
-    # 2H = 1.5 of the default model
+    # slope of log Var fitted on [1e2, 1e4] against the band 2H +- 0.1
     grid = rnw.Grid.for_horizon(1.05e4, 0.025)
     gamma = rnw.covariance_gamma(model, grid)
     var = rnw.variance_of_integral(gamma)
@@ -422,11 +423,12 @@ def run_limit_verification(p, seed, model, threads):
     slope, _, stderr, r2 = fbm_mod.fit_line(np.log(tt), np.log(var.at(tt)))
     pred = rnw.asymptotic_covariance(model, 1e3)
     ratio_1e3 = float(gamma.at(1e3) / pred)
+    target = 2 * model.hurst()
     var_cell = _cell(
         "variance_slope",
-        {"slope": slope, "stderr": stderr, "r2": r2, "target": 2 * model.hurst(),
+        {"slope": slope, "stderr": stderr, "r2": r2, "target": target,
          "gamma_ratio_at_1e3": ratio_1e3, "window": [lo, hi]},
-        [_verdict("var_loglog_slope", slope, band=(1.4, 1.6))],
+        [_verdict("var_loglog_slope", slope, band=(target - 0.1, target + 0.1))],
     )
     artifacts["gamma.csv"] = ("gamma", gamma)
     artifacts["variance.csv"] = ("variance", var)
@@ -641,7 +643,7 @@ def run_key_renewal(p, seed, model, threads):
     ]
     metrics = {"ladder": ladder.tolist(), "ratios": [float(r) for r in ratios],
                "kappa": info["kappa"], "lambda": info["lambda"],
-               "z_precondition_ok": info.get("z_precondition_ok")}
+               "z_precondition_ok": info["z_precondition_ok"]}
     artifacts = {"key_renewal_residual.csv": ("residual", h_num)}
     return [_cell("key_renewal", metrics, verdicts)], artifacts
 
@@ -735,9 +737,6 @@ def run(spec: ExperimentSpec) -> dict:
             "threads": spec.threads,
         },
     }
-    problems = validate_report(report)
-    if problems:
-        raise RuntimeError(f"internal error: report fails its schema: {problems}")
     if spec.out_dir:
         os.makedirs(spec.out_dir, exist_ok=True)
         with open(os.path.join(spec.out_dir, "report.json"), "w") as fh:
@@ -750,37 +749,3 @@ def run(spec: ExperimentSpec) -> dict:
                 quantity, gf = payload
                 rnw.write_grid_csv(target, quantity, gf)
     return report
-
-
-def validate_report(report) -> list:
-    """Structural validation against the published report schema (docs/report_schema.json)."""
-    problems = []
-
-    def need(obj, key, types, where):
-        if key not in obj:
-            problems.append(f"{where}: missing {key}")
-            return None
-        if not isinstance(obj[key], types):
-            problems.append(f"{where}: {key} has type {type(obj[key]).__name__}")
-        return obj.get(key)
-
-    need(report, "schema_version", str, "report")
-    need(report, "kind", str, "report")
-    need(report, "model", (dict, type(None)), "report")
-    need(report, "params", dict, "report")
-    need(report, "seed", int, "report")
-    need(report, "passed", bool, "report")
-    cells = need(report, "cells", list, "report") or []
-    need(report, "provenance", dict, "report")
-    for k, cell in enumerate(cells):
-        where = f"cells[{k}]"
-        need(cell, "name", str, where)
-        need(cell, "metrics", dict, where)
-        verdicts = need(cell, "verdicts", list, where) or []
-        for m, v in enumerate(verdicts):
-            vw = f"{where}.verdicts[{m}]"
-            need(v, "name", str, vw)
-            need(v, "passed", bool, vw)
-            if "band" not in v:
-                problems.append(f"{vw}: missing band")
-    return problems

@@ -498,36 +498,27 @@ def _simpson_integral(values, dt):
 def key_renewal_asymptote(f_law, z: SamplePath):
     """Residual h(t) = lambda/kappa - ∫_0^t z(t-s) U(ds) and its predicted tail, on z's grid.
 
-    U is the renewal function of `f_law`; kappa its mean, lambda = ∫ z.  For a
-    heavy law with index alpha in (1,2) the predicted residual is
-    -lambda/((alpha-1) kappa^2) t^(1-alpha) L(t).  Light-tailed laws are
-    computed but reported not applicable.
+    U is the renewal function of `f_law`; kappa its mean, lambda = ∫ z.  The
+    predicted residual is -lambda/kappa^2 ∫_t^∞ F̄, the first-order term of the
+    key renewal theorem for a regularly varying F̄ of index alpha in (1, 2)
+    (Teugels 1968); for F̄ = t^-alpha L(t) it is asymptotic to
+    -lambda/((alpha-1) kappa^2) t^(1-alpha) L(t).  Light-tailed laws get the
+    same prediction, reported not applicable.  `z_precondition_ok` says
+    whether z/F̄ at the horizon is below a tenth of its midpoint value (or
+    below 1e-6), as z = o(F̄) needs.
     """
     t = z.times
     if np.any(z.values < -1e-12):
         raise ValueError("z must be nonnegative")
-    fbar = f_law.tail(t)
     kappa = f_law.mean
     lam = _simpson_integral(z.values, z.dt)
     w = solve_volterra(z.values[None], f_law.cdf(t)[None, None])[0]
-    h_num = lam / kappa - w
-    report = {"kappa": kappa, "lambda": lam, "ratio_limit": float(lam / kappa),
-              "applicable": bool(f_law.is_heavy)}
-    predicted = None
-    if f_law.is_heavy:
-        alpha = f_law.tail_index
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pred = -lam / ((alpha - 1.0) * kappa**2) * t ** (1.0 - alpha) \
-                * f_law.slowly_varying_factor(t)
-        pred[0] = 0.0
-        tail_ratio = float(z.values[-1] / max(fbar[-1], 1e-300))
-        mid_ratio = float(z.at(0.5 * z.horizon) / max(f_law.tail(0.5 * z.horizon), 1e-300))
-        report["z_tail_ratio"] = tail_ratio
-        report["z_precondition_ok"] = bool(tail_ratio <= max(0.1 * mid_ratio, 1e-6))
-        if not report["z_precondition_ok"]:
-            report["warning"] = "z(t) does not vanish relative to the survival function"
-        predicted = SamplePath(z.dt, pred)
-    return SamplePath(z.dt, h_num), predicted, report
+    predicted = -lam / kappa**2 * f_law.integrated_tail(t)
+    tail_ratio = float(z.values[-1] / max(f_law.tail(z.horizon), 1e-300))
+    mid_ratio = float(z.at(0.5 * z.horizon) / max(f_law.tail(0.5 * z.horizon), 1e-300))
+    report = {"kappa": kappa, "lambda": lam, "applicable": bool(f_law.is_heavy),
+              "z_precondition_ok": bool(tail_ratio <= max(0.1 * mid_ratio, 1e-6))}
+    return SamplePath(z.dt, lam / kappa - w), SamplePath(z.dt, predicted), report
 
 
 def write_grid_csv(path, quantity, gf: SamplePath):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from semimarket.config import model_from_dict
 from semimarket.distributions import (
     Exponential,
     Pareto,
@@ -12,6 +13,7 @@ from semimarket.distributions import (
     Uniform,
     law_from_config,
 )
+from semimarket.experiments import EXAMPLE_A_MODEL
 
 from oracles import equilibrium_cdf
 
@@ -145,11 +147,16 @@ def test_paretolog_ppf_inverts_cdf():
 
 
 def test_paretolog_slowly_varying_factor():
+    # a model's tail_scale is L(t) = t^alpha P{sojourn at 0 >= t}: 1 + log t here
     law = ParetoLog(scale=1.0, alpha=1.5)
+    zero = {"family": "pareto_log", "scale": 1.0, "alpha": 1.5}
+    model = model_from_dict(dict(EXAMPLE_A_MODEL,
+                                 sojourns=dict(EXAMPLE_A_MODEL["sojourns"], **{"0": zero})))
     t = np.array([10.0, 1e3, 1e6])
-    np.testing.assert_allclose(law.tail(t), t**-1.5 * law.slowly_varying_factor(t))
+    np.testing.assert_allclose(model.tail_scale(t), 1.0 + np.log(t))
+    np.testing.assert_allclose(law.tail(t), t**-1.5 * model.tail_scale(t))
     # slowly varying: L(2t)/L(t) -> 1
-    ratio = law.slowly_varying_factor(2e8) / law.slowly_varying_factor(1e8)
+    ratio = model.tail_scale(2e8) / model.tail_scale(1e8)
     assert abs(ratio - 1.0) < 0.05
 
 

@@ -24,7 +24,6 @@ from semimarket.experiments import (
     load_experiment,
     run,
     stationarity_check,
-    validate_report,
 )
 from semimarket.fbm import fit_line
 from semimarket.semi_markov import states_at_times
@@ -44,6 +43,12 @@ def test_fit_slope_constant():
     xs = np.array([1.0, 2.0, 4.0])
     slope, *_ = fit_line(np.log(xs), np.log(np.full(3, 3.7)))
     assert slope == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fit_line_r2_is_nan_on_non_finite_input():
+    # only a zero sum of squares means a constant y; a NaN one is no fit at all
+    assert fit_line([1.0, 2.0, 4.0], [2.5, 2.5, 2.5])[3] == 1.0
+    assert np.isnan(fit_line([1.0, 2.0, 4.0], [0.1, 0.2, np.nan])[3])
 
 
 # -- model config ------------------------------------------------------------------
@@ -125,16 +130,29 @@ def test_alpha_variant():
 
 
 def test_repo_config_files_load():
-    for name in ("example_a", "asymmetric", "markov"):
+    for name in ("example_a", "asymmetric", "markov", "limit"):
         model = load_model(f"configs/{name}.json")
         assert model.states == (-1, 0, 1)
 
 
 def test_shipped_model_configs_equal_the_constants():
     for name, model in (("example_a", EXAMPLE_A_MODEL), ("asymmetric", ASYMMETRIC_MODEL),
-                        ("markov", MARKOV_MODEL)):
+                        ("markov", MARKOV_MODEL), ("limit", LIMIT_MODEL)):
         with open(f"configs/{name}.json") as fh:
             assert json.load(fh) == json.loads(json.dumps(model)), name
+
+
+def test_shipped_specs_load_with_their_kinds_default_model():
+    # a shipped spec reproduces its kind's defaults, whose verdicts pass at seed 7041
+    specs = []
+    for name in sorted(os.listdir("configs")):
+        with open(f"configs/{name}") as fh:
+            if "kind" in json.load(fh):
+                specs.append(name)
+    assert "limit_verification.json" in specs
+    for name in specs:
+        spec = load_experiment(f"configs/{name}")
+        assert spec.model == json.loads(json.dumps(EXPERIMENT_KINDS[spec.kind][1])), name
 
 
 # -- experiment spec / report -------------------------------------------------------
@@ -208,7 +226,7 @@ def test_spec_validates_the_model():
 def test_shipped_models_validate():
     shipped = [EXAMPLE_A_MODEL, ASYMMETRIC_MODEL, MARKOV_MODEL, LIMIT_MODEL]
     shipped += [alpha_variant(ASYMMETRIC_MODEL, a) for a in (1.2, 1.4, 1.6, 1.8)]
-    for name in ("example_a", "asymmetric", "markov"):
+    for name in ("example_a", "asymmetric", "markov", "limit"):
         with open(f"configs/{name}.json") as fh:
             shipped.append(json.load(fh))
     for model in shipped:
@@ -235,31 +253,78 @@ def test_report_replays_the_run(tmp_path):
                               seed=3))["model"] is None
 
 
-def test_validate_report_catches_problems():
-    good = {"schema_version": "1", "kind": "x", "model": None, "params": {},
+def _report_schema():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "report_schema.json")
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _schema_problems(report):
+    """Messages of every way `report` breaks docs/report_schema.json."""
+    import jsonschema
+
+    return [e.message for e in jsonschema.Draft7Validator(_report_schema()).iter_errors(report)]
+
+
+def _checked_report(out_dir):
+    """report.json in out_dir, read by a parser that rejects Infinity, -Infinity and
+    NaN, and checked against the schema."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+    assert _schema_problems(report) == []
+    return report
+
+
+def test_report_schema_catches_problems():
+    good = {"schema_version": "1", "kind": "key-renewal", "model": None, "params": {},
             "seed": 1, "passed": True,
             "cells": [{"name": "c", "metrics": {}, "verdicts":
                        [{"name": "v", "passed": True, "band": None, "value": 1.0}]}],
             "provenance": {}}
-    assert validate_report(good) == []
+    assert _schema_problems(good) == []
     bad = {"kind": "x"}
-    assert any("schema_version" in p for p in validate_report(bad))
-    assert any("missing params" in p for p in validate_report(bad))
-    assert any("model has type" in p for p in validate_report(dict(good, model=[1])))
+    assert any("'schema_version' is a required property" in p for p in _schema_problems(bad))
+    assert any("'params' is a required property" in p for p in _schema_problems(bad))
+    assert any("is not one of" in p for p in _schema_problems(bad))
+    assert _schema_problems(dict(good, model=[1])) != []
+    assert _schema_problems(dict(good, schema_version="2")) != []
+    good["cells"][0]["verdicts"][0] = {"name": "v", "passed": True, "band": [0.0, 1.0, 2.0]}
+    assert _schema_problems(good) != []
     good["cells"][0]["verdicts"][0] = {"name": "v", "passed": True}
-    assert any("band" in p for p in validate_report(good))
+    assert any("'band' is a required property" in p for p in _schema_problems(good))
 
 
-def test_report_schema_matches_the_kinds_and_a_report(tmp_path):
-    import jsonschema
+def test_report_schema_matches_the_kinds_and_a_report():
+    # each kind's report is checked by test_every_kind_writes_a_report_its_schema_accepts
+    assert _report_schema()["properties"]["kind"]["enum"] == list(EXPERIMENT_KINDS)
 
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "report_schema.json")
-    with open(path) as fh:
-        schema = json.load(fh)
-    assert schema["properties"]["kind"]["enum"] == list(EXPERIMENT_KINDS)
-    run(ExperimentSpec(kind="integral-identities", params={"n": 2**8, "seeds": 1}, seed=3,
+
+# small sizes of every kind; limit-verification's renewal half has no size param
+_TINY_MARKET = {"n_agents": 20, "epsilon": 0.05, "horizon": 8.0, "n_grid": 2**10 + 1,
+                "seeds": 1, "min_lag": 4}
+_TINY_PARAMS = {
+    "fbm-selftest": {"cov_paths": 100, "cov_n": 64, "cov_hs": [0.75], "calib_n": 2**10,
+                     "calib_seeds": 1, "calib_hs": [0.6]},
+    "example-a": _TINY_MARKET,
+    "markov-baseline": _TINY_MARKET,
+    "limit-verification": _TINY_MARKET,
+    "renewal-tables": {"dt": 0.05, "horizon": 3.0, "mc_replicates": 2000,
+                       "t_checks": [1.0, 2.0], "stationarity_rep": 200,
+                       "stationarity_seeds": 2},
+    "mixed-market": {"n_agents": 20, "epsilon": 1e-2, "horizon": 2.0, "n_grid": 2**10 + 1,
+                     "seeds": 1},
+    "integral-identities": {"n": 2**8, "seeds": 1},
+    "key-renewal": {"dt": 0.1, "horizon": 2.1e3, "ladder": [1e2, 1e3, 2e3]},
+}
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENT_KINDS))
+def test_every_kind_writes_a_report_its_schema_accepts(tmp_path, kind):
+    run(ExperimentSpec(kind=kind, params=dict(_TINY_PARAMS[kind]), seed=5,
                        out_dir=str(tmp_path)))
-    jsonschema.validate(json.loads((tmp_path / "report.json").read_text()), schema)
+    assert _checked_report(tmp_path)["kind"] == kind
 
 
 def _loads_scipy(code):
@@ -316,8 +381,7 @@ def test_run_integral_identities_report(tmp_path):
                           seed=3, out_dir=str(tmp_path / "out"))
     report = run(spec)
     assert report["passed"]
-    assert validate_report(report) == []
-    on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
+    on_disk = _checked_report(tmp_path / "out")
     assert on_disk["kind"] == "integral-identities"
     assert on_disk["provenance"]["wall_time_s"] >= 0.0
 
@@ -348,12 +412,32 @@ def test_run_renewal_tables_small(tmp_path):
                 "t_checks": (1.0, 4.0), "stationarity_rep": 1500,
                 "stationarity_seeds": 4})
     report = run(spec)
-    assert validate_report(report) == []
+    _checked_report(tmp_path)
     assert report["passed"]
     names = {v["name"] for c in report["cells"] for v in c["verdicts"]}
     assert "gamma_vs_closed_form" in names
     assert (tmp_path / "gamma.csv").exists()
     assert (tmp_path / "pstar_11.csv").exists()
+
+
+def test_markov_linearity_lags_stay_on_the_path(tmp_path):
+    # the lags stop at n_grid // 8: a lag past the path's end has a NaN variogram,
+    # which report.json cannot hold as strict JSON
+    params = dict(_TINY_MARKET, n_grid=1100, min_lag=1)
+    run(ExperimentSpec(kind="markov-baseline", params=params, out_dir=str(tmp_path)))
+    metrics = _checked_report(tmp_path)["cells"][1]["metrics"]
+    assert metrics["lags"] == [1, 2, 4, 8, 16, 32, 64, 128]
+    assert np.all(np.isfinite(metrics["variogram"]))
+
+
+def test_var_loglog_slope_band_follows_the_model():
+    # alpha 1.3 gives 2H = 1.7, and the renewal slope on [1e2, 1e4] reads 1.643
+    report = run(ExperimentSpec(kind="limit-verification", params=dict(_TINY_MARKET),
+                                model=alpha_variant(LIMIT_MODEL, 1.3)))
+    (verdict,) = report["cells"][1]["verdicts"]
+    assert verdict["band"] == pytest.approx([1.6, 1.8], abs=1e-12)
+    assert verdict["value"] == pytest.approx(1.643, abs=5e-4)
+    assert verdict["passed"]
 
 
 def test_stationarity_check_pools_counts():
@@ -390,18 +474,10 @@ def test_cli_runs_and_exits_zero(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
-def _strict_json(path):
-    """report.json parsed by a reader that rejects Infinity, -Infinity and NaN."""
-    def reject(token):
-        raise ValueError(f"non-standard JSON token {token}")
-
-    return json.loads(path.read_text(), parse_constant=reject)
-
-
 @pytest.mark.parametrize("kind", ["integral-identities", "renewal-tables", "key-renewal"])
 def test_fast_kind_reports_are_strict_json(tmp_path, kind):
     run(ExperimentSpec(kind=kind, out_dir=str(tmp_path)))
-    report = _strict_json(tmp_path / "report.json")
+    report = _checked_report(tmp_path)
     assert report["passed"]
     bands = {v["name"]: v["band"] for c in report["cells"] for v in c["verdicts"]}
     if kind == "integral-identities":
@@ -419,7 +495,7 @@ def test_degenerate_market_replicate_fails_its_verdicts(tmp_path, capsys):
     rc = cli_main(["markov-baseline", "--config", str(spec), "--out", str(tmp_path)])
     assert rc == 1
     assert "[FAIL] markov_baseline::markov_baseline_median_hurst" in capsys.readouterr().out
-    report = _strict_json(tmp_path / "report.json")
+    report = _checked_report(tmp_path)
     assert not report["passed"]
     cell = report["cells"][0]
     assert [v["passed"] for v in cell["verdicts"]] == [False, False]
@@ -428,7 +504,6 @@ def test_degenerate_market_replicate_fails_its_verdicts(tmp_path, capsys):
     assert [f.split(":")[0] for f in cell["metrics"]["failures"]] == \
         ["replicate 0", "replicate 1"]
     assert all("outside (0,1)" in f for f in cell["metrics"]["failures"])
-    assert validate_report(report) == []
 
 
 def test_cli_config_kind_mismatch(tmp_path, capsys):

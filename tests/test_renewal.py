@@ -8,7 +8,7 @@ import pytest
 
 from semimarket.config import model_from_dict
 from semimarket.experiments import ASYMMETRIC_MODEL, EXAMPLE_A_MODEL, alpha_variant
-from semimarket.distributions import Exponential, Pareto
+from semimarket.distributions import Exponential, Pareto, ParetoLog
 from semimarket import renewal
 from semimarket.paths import SamplePath
 from semimarket.renewal import (
@@ -854,7 +854,7 @@ def test_key_renewal_light_tail_not_applicable():
     law = Exponential(rate=1.0)
     z = SamplePath(g.dt, np.exp(-2.0 * g.times()))
     h_num, h_pred, info = key_renewal_asymptote(law, z)
-    assert h_pred is None and not info["applicable"]
+    assert not info["applicable"]
     # residual decays below the quadrature floor, far faster than any power tail
     assert abs(h_num.at(50.0)) < 1e-4
     assert abs(h_num.at(50.0)) < 0.5 * 50.0**-0.5 * 1e-2
@@ -866,7 +866,21 @@ def test_key_renewal_flags_bad_z():
     z = SamplePath(g.dt, 1.0 / (1.0 + g.times()))  # heavier than F̄: violates o(F̄)
     *_, info = key_renewal_asymptote(law, z)
     assert not info["z_precondition_ok"]
-    assert "warning" in info
+
+
+def test_key_renewal_paretolog_prediction_is_the_integrated_tail():
+    # -lambda/kappa^2 times the integrated tail keeps the log law's second-order
+    # term 1/((alpha-1)(1 + log t)), which t^(1-alpha) L(t) alone misses
+    g = Grid.for_horizon(1.05e4, 0.05)
+    law = ParetoLog(scale=1.0, alpha=1.5)
+    h_num, h_pred, info = key_renewal_asymptote(law, SamplePath(g.dt, np.exp(-g.times())))
+    assert info["applicable"] and info["z_precondition_ok"]
+    np.testing.assert_array_equal(
+        h_pred.values, -info["lambda"] / info["kappa"] ** 2 * law.integrated_tail(g.times()))
+    ladder = np.array([1e2, 10**2.5, 1e3, 10**3.5, 1e4])
+    gaps = np.abs(h_num.at(ladder) / h_pred.at(ladder) - 1.0)
+    assert gaps[-1] < 0.05
+    assert np.all(np.diff(gaps) < 0.0)
 
 
 def test_write_grid_csv(tmp_path):
