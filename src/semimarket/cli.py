@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__
-from .experiments import EXPERIMENT_KINDS, ExperimentSpec, load_experiment, run
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, _check_run_keys, load_experiment, run
 
 
 def _build_parser():
@@ -44,9 +43,12 @@ def main(argv=None):
             return 2
     else:
         spec = ExperimentSpec(kind=args.kind)
-    overrides = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
+    # overrides go on the built spec, whose model and params do not read them
+    for key, value in (("seed", args.seed), ("threads", args.threads), ("out_dir", args.out)):
+        if value is not None:
+            setattr(spec, key, value)
     try:
-        spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+        _check_run_keys(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

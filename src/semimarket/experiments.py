@@ -97,12 +97,7 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"known: {sorted(EXPERIMENT_KINDS)}")
-        # numpy seeds must be non-negative
-        for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
-            if not usable(getattr(self, key), None):
-                raise ValueError(f"spec key {key} must be {what}, got {getattr(self, key)!r}")
-        if not isinstance(self.out_dir, (str, type(None))):
-            raise ValueError(f"spec key out must be a string or null, got {self.out_dir!r}")
+        _check_run_keys(self)
         if not isinstance(self.params, dict) or not isinstance(self.model, (dict, type(None))):
             raise ValueError("params must be an object and model an object or null")
         _, default_model, defaults = EXPERIMENT_KINDS[self.kind]
@@ -124,6 +119,16 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ValueError(f"{name} unusable by {self.kind}: {exc}") from None
         self.merged_params = merged
+
+
+def _check_run_keys(spec):
+    """ValueError unless the spec's seed, threads and out (no model or param reads them) fit."""
+    # numpy seeds must be non-negative
+    for key, (what, usable) in (("seed", _count(0)), ("threads", _count(1))):
+        if not usable(getattr(spec, key), None):
+            raise ValueError(f"spec key {key} must be {what}, got {getattr(spec, key)!r}")
+    if not isinstance(spec.out_dir, (str, type(None))):
+        raise ValueError(f"spec key out must be a string or null, got {spec.out_dir!r}")
 
 
 def _number(v):
@@ -591,8 +596,10 @@ def run_integral_identities(p, seed, model, threads):
     scale = float(np.abs(qv).max())
     verdicts = [_verdict("self_integral_identity_machine_eps", ident_err / max(scale, 1.0),
                          band=(0.0, 1e-12))]
-    # integration-by-parts refinement for smooth psi and fractional B
-    shrink_ok = []
+    # integration-by-parts refinement for smooth psi and fractional B, on the
+    # ladder's finest three levels (both when it has two)
+    ladder = int_mod.PartitionLadder(n_increments=n, n_levels=p["levels"])
+    strides = [ladder.stride(level) for level in range(ladder.n_levels)][-3:]
     worst_ratios = []
     for s in range(p["seeds"]):
         path_rng = np.random.default_rng([seed, 2, s])
@@ -600,18 +607,16 @@ def run_integral_identities(p, seed, model, threads):
         t = bh.times
         psi = SamplePath(dt, np.exp(t))
         sups = []
-        for stride in (4, 2, 1):
+        for stride in strides:
             sub_psi = SamplePath(dt * stride, psi.values[::stride])
             sub_bh = SamplePath(dt * stride, bh.values[::stride])
             res = int_mod.integration_by_parts_residual(sub_psi, sub_bh)
             sups.append(float(np.abs(res.values).max()))
         ratios = [sups[k] / sups[k + 1] for k in range(len(sups) - 1)]
         worst_ratios.append(min(ratios))
-        shrink_ok.append(all(r >= 1.5 for r in ratios))
     verdicts.append(_verdict("ibp_residual_shrinks", float(min(worst_ratios)),
                              band=(1.5, np.inf)))
     # discrete Cauchy-Schwarz at every level
-    ladder = int_mod.PartitionLadder(n_increments=n, n_levels=p["levels"])
     w = fbm_mod.sample_fbm(0.5, n, dt, np.random.default_rng([seed, 3]))
     cv = int_mod.cross_variation(bh, w, ladder)
     cs_ok = all(level["cauchy_schwarz_ok"] for level in cv)

@@ -136,7 +136,7 @@ def fit_line(x, y):
     """Ordinary least squares y = slope * x + intercept: (slope, intercept, stderr, r2).
 
     stderr is the standard error of the slope (0 for two points); r2 is 1 for
-    a constant y and NaN for a non-finite one.
+    a y constant to rounding (ss_tot <= eps sum y^2) and NaN for a non-finite one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -144,7 +144,7 @@ def fit_line(x, y):
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     ss_res = float(np.sum((y - a @ coef) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 if ss_tot <= np.finfo(float).eps * np.sum(y**2) else 1.0 - ss_res / ss_tot
     if x.size > 2:
         stderr = float(np.sqrt(ss_res / (x.size - 2) / np.sum((x - x.mean()) ** 2)))
     else:

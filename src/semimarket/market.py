@@ -241,10 +241,9 @@ def _market(cfg, replicate):
 
 
 def require_exponential(model: SemiMarkovModel):
-    """ValueError unless every sojourn law of the model is exponential."""
-    for law in model.sojourns.values():
-        if not isinstance(law, Exponential):
-            raise ValueError("markov_market requires all-exponential sojourn laws")
+    """ValueError unless the sojourn law of every transition of the model is exponential."""
+    if not all(isinstance(law, Exponential) for *_, law in model.edges):
+        raise ValueError("markov_market requires all-exponential sojourn laws")
 
 
 def markov_market(cfg: MarketConfig, replicate=0) -> AggregatePath:

@@ -94,18 +94,14 @@ class KernelGrid:
 
 
 def kernel_on_grid(model: SemiMarkovModel, grid: Grid) -> KernelGrid:
-    states = model.states
-    n = len(states)
+    n = len(model.states)
     t = grid.times()
     q = np.zeros((n, n, grid.n_points))
-    h = np.ones((n, grid.n_points))
-    for ii, i in enumerate(states):
-        for jj, j in enumerate(states):
-            pij = model.p[ii, jj]
-            if pij > 0.0:
-                q[ii, jj] = pij * model.law(i, j).cdf(t)
-        h[ii] = 1.0 - q[ii].sum(axis=0)
-    return KernelGrid(grid=grid, states=states, q=q, survival=h)
+    for ii, jj, pij, law in model.edges:
+        q[ii, jj] = pij * law.cdf(t)
+    survival = q.sum(axis=1)
+    np.subtract(1.0, survival, out=survival)  # in place: no second (E, M) array
+    return KernelGrid(grid=grid, states=model.states, q=q, survival=survival)
 
 
 # -- Stieltjes convolution and Volterra solver ------------------------------
@@ -328,6 +324,20 @@ def _cdf_path(dt, values):
     return SamplePath(dt, v)
 
 
+def _first_step(dt, kern, passage, jj):
+    """K(j, .) + sum_{k != j} ∫_0^. F(k, j, . - u) K(k, du) for j the state index jj.
+
+    First-step analysis: kern holds K(k, .) for each state index k, the
+    kernel of the first jump from one start, and passage F(k, j, .) for each
+    k (entry jj unread).  The sum runs in state order; the result is a CDF path.
+    """
+    out = kern[jj].copy()
+    for kk, f in enumerate(passage):
+        if kk != jj and kern[kk].any():  # a zero pair adds exact zeros
+            out += conv_stieltjes(kern[kk], f)
+    return _cdf_path(dt, out)
+
+
 def first_passage(kernel: KernelGrid, target):
     """First-passage distributions F(i, target, .) for every start state i.
 
@@ -337,51 +347,27 @@ def first_passage(kernel: KernelGrid, target):
     states, q, dt = list(kernel.states), kernel.q, kernel.grid.dt
     jj = states.index(target)
     others = [k for k in range(len(states)) if k != jj]
-    x = solve_volterra(q[others, jj], q[np.ix_(others, others)])
-    out = {states[i]: _cdf_path(dt, x[a]) for a, i in enumerate(others)}
-    ret = q[jj, jj].copy()
-    for b, k in enumerate(others):
-        if q[jj, k].any():  # a zero kernel pair adds exact zeros
-            ret += conv_stieltjes(q[jj, k], x[b])
-    out[target] = _cdf_path(dt, ret)
+    x = list(solve_volterra(q[others, jj], q[np.ix_(others, others)]))
+    out = {states[i]: _cdf_path(dt, f) for i, f in zip(others, x)}
+    x.insert(jj, None)
+    out[target] = _first_step(dt, q[jj], x, jj)
     return out
 
 
 def _stationary_pieces(model, grid: Grid):
     """Exact s(i,t) = P*{xi_0 = i, T_1 > t} and shat(i,k,t) = P*{xi_1=k, T_1<=t | xi_0=i}."""
     law = stationary_law(model)
-    states = model.states
-    n = len(states)
+    n = len(model.states)
     t = grid.times()
-    p = model.p
-    total_pm = float(law.pi @ law.m)
-    s = np.zeros((n, grid.n_points))
+    s = np.zeros((n, grid.n_points))  # sum_k p_ik ∫_t^∞ (1 - G(i,k,.)) first
     shat = np.zeros((n, n, grid.n_points))
-    for ii, i in enumerate(states):
-        tail_int = np.zeros(grid.n_points)
-        for kk, k in enumerate(states):
-            if p[ii, kk] <= 0.0:
-                continue
-            it = model.law(i, k).integrated_tail(t)
-            tail_int += p[ii, kk] * it
-            shat[ii, kk] = p[ii, kk] * (law.m_cond[ii, kk] - it) / law.m[ii]
-        s[ii] = law.pi[ii] * tail_int / total_pm
+    for ii, kk, pik, edge_law in model.edges:
+        it = edge_law.integrated_tail(t)
+        s[ii] += pik * it
+        shat[ii, kk] = pik * (law.m_cond[ii, kk] - it) / law.m[ii]
+    s *= law.pi[:, None]
+    s /= float(law.pi @ law.m)
     return s, shat
-
-
-def _fstar(shat_row, passage, states, target):
-    """F*(i,j,.) = shat(i,j,.) + sum_{k != j} F(k,j,.) * shat(i,k,d.) for j = target.
-
-    shat_row is shat(i,.,.) of `_stationary_pieces`, passage the first
-    passages F(., j, .) of `first_passage`.
-    """
-    jj = states.index(target)
-    out = shat_row[jj].copy()
-    for kk, k in enumerate(states):
-        if kk == jj or not shat_row[kk].any():  # a zero pair adds exact zeros
-            continue
-        out += conv_stieltjes(shat_row[kk], passage[k].values)
-    return _cdf_path(passage[target].dt, out)
 
 
 def _equilibrium_deviations(model, grid, targets, weights):
@@ -408,9 +394,10 @@ def _equilibrium_deviations(model, grid, targets, weights):
     for t, j in enumerate(targets):
         jj = states.index(j)
         passage = first_passage(kernel, j)
+        values = [passage[k].values for k in states]
         fstar = np.zeros((len(states), grid.n_points))
-        for ii in starts:
-            fstar[ii] = _fstar(shat[ii], passage, states, j).values
+        for ii in starts:  # F*(i, j) = shat(i, j) + sum_{k != j} F(k, j) * shat(i, k, d.)
+            fstar[ii] = _first_step(grid.dt, shat[ii], values, jj).values
         for r, row in enumerate(weights @ fstar):
             z = conv_stieltjes(row, kernel.survival[jj])
             w = solve_volterra(z[None], passage[j].values[None, None])[0]

@@ -38,15 +38,18 @@ class SemiMarkovModel:
 
     states are distinct integer labels containing the inactive state 0; p is
     the read-only embedded-chain matrix, indexed like states; sojourns maps
-    (i, j) state labels to the law of the holding time in i before a jump to
-    j.  alpha (derived) is the exits from 0's tail index, None if light.
-    Models compare by identity; an inadmissible model raises a ValueError.
+    each transition (i, j) of the chain (p_ij > 0) to the law of the holding
+    time in i before a jump to j, and edges (derived) walks them row by row as
+    (index of i, index of j, p_ij, law).  alpha (derived) is the exits from
+    0's tail index, None if light.  Models compare by identity; an
+    inadmissible model raises a ValueError.
     """
 
     states: tuple
     p: np.ndarray
     sojourns: dict
     alpha: float | None = field(default=None, init=False)
+    edges: tuple = field(default=(), init=False, repr=False)
     _law: StationaryLaw | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -65,10 +68,13 @@ class SemiMarkovModel:
         p.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "p", p)
-        problems, alpha = _problems(self)
+        problems, alpha, edges = _problems(self)
         if problems:
             raise ValueError(f"invalid model: {'; '.join(problems)}")
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "sojourns",
+                           {(states[ii], states[jj]): law for ii, jj, _, law in edges})
 
     def law(self, i, j) -> SojournLaw:
         return self.sojourns[(i, j)]
@@ -87,11 +93,10 @@ class SemiMarkovModel:
         if self.alpha is None:
             raise ValueError("tail scale undefined without a heavy-tailed inactive state")
         t = np.asarray(t, dtype=float)
-        zero = self.states.index(0)
         h0 = np.zeros_like(t)
-        for j_idx, j in enumerate(self.states):
-            if self.p[zero, j_idx] > 0.0:
-                h0 = h0 + self.p[zero, j_idx] * self.law(0, j).tail(t)
+        for ii, _, pij, law in self.edges:
+            if self.states[ii] == 0:
+                h0 = h0 + pij * law.tail(t)
         return t**self.alpha * h0
 
 
@@ -111,7 +116,7 @@ class StationaryLaw:
 # -- admissibility and equilibrium -------------------------------------------
 
 def _problems(model):
-    """The assumptions the model breaks, and the common tail index of its exits from 0."""
+    """The assumptions the model breaks, its exits from 0's common tail index, and its edges."""
     p, states = model.p, model.states
     out = [f"row {k} of the transition matrix sums to {s!r}, not 1"
            for k, s in enumerate(p.sum(axis=1).tolist()) if not abs(s - 1.0) <= _ROW_TOL]
@@ -119,7 +124,7 @@ def _problems(model):
         out.append("transition matrix has negative entries")
     elif not _irreducible(p):
         out.append("embedded chain is not irreducible: no unique stationary law")
-    zero_exits = {}
+    edges, zero_exits = [], {}
     for ii, i in enumerate(states):
         for jj, j in enumerate(states):
             if p[ii, jj] <= 0.0:
@@ -128,6 +133,7 @@ def _problems(model):
                 out.append(f"missing sojourn law for transition {i} -> {j}")
                 continue
             law = model.sojourns[(i, j)]
+            edges.append((ii, jj, p[ii, jj], law))
             if not np.isfinite(law.mean) or law.mean <= 0.0:
                 out.append(f"sojourn law for {i} -> {j} has non-finite mean")
             if i != 0 and law.is_heavy:
@@ -141,7 +147,7 @@ def _problems(model):
     if indices:
         out += [f"inactive-state exit 0 -> {j} is not heavy-tailed"
                 for j, law in zero_exits.items() if not law.is_heavy]
-    return out, indices[0] if indices else None
+    return out, indices[0] if indices else None, tuple(edges)
 
 
 def _irreducible(p):
@@ -173,19 +179,16 @@ def _solve_stationary_law(model):
     residual = np.abs(pi @ p - pi).max()
     if residual > 1e-10 or np.any(pi <= 0.0):
         raise np.linalg.LinAlgError(f"stationary solve failed (residual {residual:.2e})")
-    states = model.states
     m_cond = np.zeros((n, n))
-    for ii, i in enumerate(states):
-        for jj, j in enumerate(states):
-            if p[ii, jj] > 0.0:
-                m_cond[ii, jj] = model.law(i, j).mean
+    for ii, jj, _, law in model.edges:
+        m_cond[ii, jj] = law.mean
     m = (p * m_cond).sum(axis=1)
     nu = pi * m / (pi @ m)
     eta = m / nu
-    mu = float(np.array(states) @ nu)
+    mu = float(np.array(model.states) @ nu)
     for arr in (pi, nu, m, m_cond, eta):
         arr.setflags(write=False)
-    return StationaryLaw(states=states, pi=pi, nu=nu, m=m, m_cond=m_cond, eta=eta, mu=mu)
+    return StationaryLaw(states=model.states, pi=pi, nu=nu, m=m, m_cond=m_cond, eta=eta, mu=mu)
 
 
 def hurst_from_alpha(alpha):
@@ -259,13 +262,14 @@ def wiener_constant_c2(model: SemiMarkovModel):
 # -- the agent engine ---------------------------------------------------------
 
 def _cumulative(weights):
-    """Row-wise cumulative probabilities with the last entry pinned to 1.
+    """Row-wise cumulative probabilities, pinned to 1 where they reach the row's total.
 
-    With `_pick`, every u in [0, 1) then lands on a state of positive weight
-    even when the row sums to 1 only up to rounding.
+    The total is reached at the row's last positive weight, so with `_pick`
+    every u in [0, 1) lands on a state of positive weight even when the row
+    sums to 1 only up to rounding, trailing zeros or not.
     """
     cum = np.cumsum(weights, axis=-1)
-    cum[..., -1] = 1.0
+    cum[cum >= cum[..., -1:]] = 1.0
     return cum
 
 
@@ -281,13 +285,13 @@ def _sojourn_groups(model):
     (w = 1) when every row of the kernel has a single law, else in group
     i * w + j (w = number of states).
     """
-    states, p = model.states, model.p
-    rows = [[(jj, model.law(i, j)) for jj, j in enumerate(states) if p[ii, jj] > 0.0]
-            for ii, i in enumerate(states)]
-    if all(len({lw for _, lw in row}) <= 1 for row in rows):
-        return 1, {ii: row[0][1] for ii, row in enumerate(rows) if row}
-    width = len(states)
-    return width, {ii * width + jj: lw for ii, row in enumerate(rows) for jj, lw in row}
+    firsts = {}
+    for ii, _, _, law in model.edges:
+        firsts.setdefault(ii, law)
+    if all(law == firsts[ii] for ii, _, _, law in model.edges):
+        return 1, firsts
+    width = len(model.states)
+    return width, {ii * width + jj: law for ii, jj, _, law in model.edges}
 
 
 def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, initial_state=None):
@@ -333,17 +337,17 @@ def jump_rounds(model: SemiMarkovModel, n_agents, horizon, rng, initial_state=No
 
     nxt = np.empty(n_agents, dtype=np.int64)
     t_now = np.empty(n_agents)
-    for k_idx in range(n_states):
-        mask = cur == k_idx
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        nxt[mask] = _pick(start_cum[k_idx], rng.random(count))
-        for j_idx in range(n_states):
-            sub = mask & (nxt == j_idx)
-            hits = int(sub.sum())
-            if hits:
-                t_now[sub] = model.law(states[k_idx], states[j_idx]).equilibrium_sample(rng, hits)
+    row = None
+    for k_idx, j_idx, _, edge_law in model.edges:
+        if k_idx != row:  # a new row: its agents pick their next states first
+            row, mask = k_idx, cur == k_idx
+            count = int(mask.sum())
+            if count:
+                nxt[mask] = _pick(start_cum[k_idx], rng.random(count))
+        sub = mask & (nxt == j_idx)
+        hits = int(sub.sum())
+        if hits:
+            t_now[sub] = edge_law.equilibrium_sample(rng, hits)
 
     width, group_law = _sojourn_groups(model)
     n_keys = width * n_states

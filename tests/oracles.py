@@ -16,8 +16,8 @@ import numpy as np
 from semimarket.fbm import fgn_autocovariance
 from semimarket.market import simulate_amplitude
 from semimarket.paths import SamplePath
-from semimarket.renewal import _fstar, _stationary_pieces, _volterra_system, first_passage, \
-    kernel_on_grid, solve_volterra
+from semimarket.renewal import _first_step, _stationary_pieces, _volterra_system, \
+    first_passage, kernel_on_grid, solve_volterra
 from semimarket.semi_markov import _cumulative, _pick, jump_rounds, stationary_law, \
     theorem_condition_value
 
@@ -35,8 +35,9 @@ def equilibrium_cdf(law, t):
 def stationary_first_passage(model, grid, start, target):
     """F*(start, target, .): first passage to target under the equilibrium initial law."""
     _, shat = _stationary_pieces(model, grid)
-    return _fstar(shat[model.states.index(start)],
-                  first_passage(kernel_on_grid(model, grid), target), model.states, target)
+    passage = first_passage(kernel_on_grid(model, grid), target)
+    return _first_step(grid.dt, shat[model.states.index(start)],
+                       [passage[k].values for k in model.states], model.states.index(target))
 
 
 def renewal_function(f_jj: SamplePath) -> SamplePath:

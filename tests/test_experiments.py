@@ -22,10 +22,13 @@ from semimarket.experiments import (
     chi2_sf,
     limit_constant_comparison,
     load_experiment,
+    market_hurst,
     run,
     stationarity_check,
 )
-from semimarket.fbm import fit_line
+from semimarket.fbm import fit_line, sample_fbm
+from semimarket.integrals import integration_by_parts_residual
+from semimarket.paths import SamplePath
 from semimarket.semi_markov import states_at_times
 
 
@@ -46,8 +49,10 @@ def test_fit_slope_constant():
 
 
 def test_fit_line_r2_is_nan_on_non_finite_input():
-    # only a zero sum of squares means a constant y; a NaN one is no fit at all
+    # a sum of squares zero up to rounding means a constant y; a NaN one is no fit
     assert fit_line([1.0, 2.0, 4.0], [2.5, 2.5, 2.5])[3] == 1.0
+    # the mean of three 3.7s rounds, leaving a sum of squares of 5.9e-31
+    assert fit_line([1.0, 2.0, 4.0], [3.7] * 3)[3] == 1.0
     assert np.isnan(fit_line([1.0, 2.0, 4.0], [0.1, 0.2, np.nan])[3])
 
 
@@ -386,6 +391,24 @@ def test_run_integral_identities_report(tmp_path):
     assert on_disk["provenance"]["wall_time_s"] >= 0.0
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_integral_identities_refines_on_its_ladder(n):
+    # with two levels the integration-by-parts check refines once, from stride 2
+    # to stride 1, and every level spans [0, 1]
+    report = run(ExperimentSpec(kind="integral-identities",
+                                params={"n": n, "levels": 2, "seeds": 2}, seed=3))
+    ratios = []
+    for s in range(2):
+        bh = sample_fbm(0.75, n, 1.0 / n, np.random.default_rng([3, 2, s]))
+        psi = np.exp(bh.times)
+        sups = [np.abs(integration_by_parts_residual(
+            SamplePath(stride / n, psi[::stride]),
+            SamplePath(stride / n, bh.values[::stride])).values).max() for stride in (2, 1)]
+        ratios.append(sups[0] / sups[1])
+    assert report["cells"][0]["metrics"]["ibp_min_shrink_ratio"] == min(ratios)
+    assert len(report["cells"][0]["metrics"]["cross_variation"]) == 2
+
+
 def test_run_deterministic_given_seed():
     spec = ExperimentSpec(kind="integral-identities", params={"n": 2**10, "seeds": 2}, seed=3)
     r1, r2 = run(spec), run(spec)
@@ -504,6 +527,28 @@ def test_degenerate_market_replicate_fails_its_verdicts(tmp_path, capsys):
     assert [f.split(":")[0] for f in cell["metrics"]["failures"]] == \
         ["replicate 0", "replicate 1"]
     assert all("outside (0,1)" in f for f in cell["metrics"]["failures"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["example-a", "--out", "OUT"],
+    ["limit-verification", "--config", "configs/limit_verification.json", "--seed", "3"],
+])
+def test_cli_builds_the_model_once(monkeypatch, tmp_path, argv):
+    import semimarket.cli
+    import semimarket.experiments
+
+    builds = []
+
+    def counted(cfg):
+        builds.append(cfg)
+        return model_from_dict(cfg)
+
+    monkeypatch.setattr(semimarket.experiments, "model_from_dict", counted)
+    # the count is the CLI's, not the runner's: a stub run returns a passing report
+    monkeypatch.setattr(semimarket.cli, "run", lambda spec: {
+        "cells": [], "passed": True, "provenance": {"wall_time_s": 0.0}})
+    assert cli_main([str(tmp_path) if a == "OUT" else a for a in argv]) == 0
+    assert len(builds) == 1
 
 
 def test_cli_config_kind_mismatch(tmp_path, capsys):
@@ -747,6 +792,25 @@ _BAD_COUNTS = (
 )
 
 
+@pytest.mark.parametrize("n_grid, min_lag", [
+    (2**10, 1), (2**10 + 1, 1), (2**10 + 1, 4), (2**10 + 1, 5),
+    (2**14 + 1, 64), (2**14 + 1, 65), (16 * 1040 - 1, 65), (16 * 1040, 65),
+])
+def test_market_window_check_matches_the_estimators(n_grid, min_lag):
+    # a market spec loads exactly when market_hurst can estimate a path of n_grid points
+    path = sample_fbm(0.75, n_grid - 1, 1.0, np.random.default_rng(3))
+    outcomes = []
+    for attempt in (lambda: market_hurst(path, min_lag=min_lag),
+                    lambda: ExperimentSpec(kind="example-a",
+                                           params={"n_grid": n_grid, "min_lag": min_lag})):
+        try:
+            attempt()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    assert outcomes[0] == outcomes[1]
+
+
 def test_every_default_param_has_one_check():
     from semimarket.experiments import _PARAM_CHECKS
 
@@ -863,6 +927,17 @@ def test_renewal_tables_accepts_the_symmetric_models():
                                                 [0.0, 1.0, 0.0]])
     for model in (EXAMPLE_A_MODEL, MARKOV_MODEL, looped):
         ExperimentSpec(kind="renewal-tables", model=model)
+
+
+def test_markov_baseline_ignores_a_law_on_a_non_transition():
+    # the chain never takes 1 -> 1, so its Pareto law is no sojourn of the model:
+    # the run draws the same streams and reads the same numbers as without it
+    looped = dict(MARKOV_MODEL, edges={"1->1": {"family": "pareto", "scale": 1.0,
+                                                "alpha": 1.5}})
+    params = dict(_TINY_MARKET, seeds=2)
+    reports = [run(ExperimentSpec(kind="markov-baseline", model=model, params=params, seed=5))
+               for model in (MARKOV_MODEL, looped)]
+    assert reports[0]["cells"] == reports[1]["cells"]
 
 
 def test_limit_constant_comparison_rejects_a_window_past_its_grid():

@@ -96,6 +96,28 @@ def test_validate_example_a_clean(example_a):
                         sojourns=example_a.sojourns, alpha=1.5)
 
 
+def test_model_keeps_the_laws_of_its_transitions_only(example_a):
+    # the config gives every pair a law; the model keeps one per p_ij > 0, and
+    # its edges walk them row by row with their indices and probabilities
+    assert example_a.edges == (
+        (0, 1, 1.0, example_a.law(-1, 0)),
+        (1, 0, 0.5, example_a.law(0, -1)), (1, 2, 0.5, example_a.law(0, 1)),
+        (2, 1, 1.0, example_a.law(1, 0)))
+    assert list(example_a.sojourns) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    with pytest.raises(KeyError):
+        example_a.law(1, 1)
+
+
+def test_cumulative_lands_only_on_positive_weights():
+    # the largest uniform, 1 - 2^-53, passes 0.7 + 0.2 + 0.1 = 0.9999999999999999:
+    # with only the last entry pinned to 1 it picked the zero-weight last state
+    u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+    rows = np.array([[0.7, 0.2, 0.1, 0.0], [0.5, 0.0, 0.5, 0.0]])
+    cum = semi_markov._cumulative(rows)
+    assert [semi_markov._pick(row, u).tolist() for row in cum] == [[0, 0, 2], [0, 2, 2]]
+    assert (cum[:, 2:] == 1.0).all()
+
+
 def test_validate_flags_bad_row():
     bad = dict(EXAMPLE_A, transitions=[[0.0, 0.9, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="invalid model: row 0"):
